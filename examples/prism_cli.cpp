@@ -74,8 +74,12 @@ void
 printStats(ycsb::PrismStore &store)
 {
     auto &db = store.db();
-    const auto &st = db.opStats();
-    const auto &svc = db.svcStats();
+    db.publishOccupancy();
+    // Registry totals: this process runs one store.
+    const auto st = stats::StatsRegistry::global().snapshot();
+    const auto n = [&](const char *name) {
+        return static_cast<unsigned long long>(st.counter(name));
+    };
     std::printf("keys            %zu\n", db.size());
     if (db.shardCount() > 1) {
         std::printf("shards         ");
@@ -84,34 +88,21 @@ printStats(ycsb::PrismStore &store)
         std::printf("\n");
     }
     std::printf("puts/gets/dels  %llu / %llu / %llu   scans %llu\n",
-                static_cast<unsigned long long>(st.puts.load()),
-                static_cast<unsigned long long>(st.gets.load()),
-                static_cast<unsigned long long>(st.dels.load()),
-                static_cast<unsigned long long>(st.scans.load()));
+                n("prism.puts"), n("prism.gets"), n("prism.dels"),
+                n("prism.scans"));
     std::printf("read sources    svc=%llu pwb=%llu ssd=%llu\n",
-                static_cast<unsigned long long>(st.svc_hits.load()),
-                static_cast<unsigned long long>(st.pwb_hits.load()),
-                static_cast<unsigned long long>(st.vs_reads.load()));
-    // Sum SVC occupancy across shards (db.svc() alone is shard 0's).
-    uint64_t svc_used = 0, svc_cap = 0;
-    for (size_t s = 0; s < db.shardCount(); s++) {
-        svc_used += db.shard(s).svc().usedBytes();
-        svc_cap += db.shard(s).svc().capacityBytes();
-    }
+                n("prism.get.svc_hits"), n("prism.get.pwb_hits"),
+                n("prism.get.vs_reads"));
     std::printf("svc             %.1f / %.1f MB used, %llu evictions, "
                 "%llu scan reorgs\n",
-                static_cast<double>(svc_used) / 1e6,
-                static_cast<double>(svc_cap) / 1e6,
-                static_cast<unsigned long long>(svc.evictions.load()),
-                static_cast<unsigned long long>(svc.scan_reorgs.load()));
+                static_cast<double>(st.gauge("prism.svc.used_bytes")) / 1e6,
+                static_cast<double>(st.gauge("prism.svc.capacity_bytes")) /
+                    1e6,
+                n("prism.svc.evictions"), n("prism.svc.scan_reorgs"));
     std::printf("reclaim         %llu passes, %llu values moved, %llu "
                 "stale skipped\n",
-                static_cast<unsigned long long>(
-                    st.reclaim_passes.load()),
-                static_cast<unsigned long long>(
-                    st.reclaimed_values.load()),
-                static_cast<unsigned long long>(
-                    st.reclaim_skipped_stale.load()));
+                n("prism.pwb.reclaim_passes"), n("prism.pwb.reclaimed_values"),
+                n("prism.pwb.reclaim_skipped_stale"));
     uint64_t gc = 0;
     size_t free_chunks = 0, total_chunks = 0;
     for (size_t i = 0; i < db.valueStorageCount(); i++) {
@@ -126,7 +117,7 @@ printStats(ycsb::PrismStore &store)
                 static_cast<double>(db.nvmIndexBytes()) / 1e6);
     std::printf("ssd written     %.1f MB for %.1f MB of user writes\n",
                 static_cast<double>(db.ssdBytesWritten()) / 1e6,
-                static_cast<double>(st.user_bytes_written.load()) / 1e6);
+                static_cast<double>(n("prism.user_bytes_written")) / 1e6);
 }
 
 void
@@ -472,8 +463,7 @@ main(int argc, char **argv)
         return r.healthy ? 0 : 1;
     }
     if (subcommand == "metrics") {
-        for (size_t s = 0; s < store.router().shardCount(); s++)
-            store.router().shard(s).publishOccupancy();
+        store.router().publishOccupancy();
         trace::TraceRegistry::global().publishStats();
         const auto snap = stats::StatsRegistry::global().snapshot();
         if (prom)

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "common/rand.h"
+#include "common/stats.h"
 #include "core/prism_db.h"
 #include "sim/device_profile.h"
 
@@ -55,8 +56,8 @@ main()
     Xorshift rng(17);
     std::vector<std::pair<uint64_t, std::string>> window;
     uint64_t values_read = 0;
-    const uint64_t ssd_reads_before =
-        db->opStats().vs_reads.load(std::memory_order_relaxed);
+    auto &reg = stats::StatsRegistry::global();
+    const auto before = reg.snapshot();
     for (int query = 0; query < 400; query++) {
         const uint32_t series = static_cast<uint32_t>(
             rng.nextUniform(4));  // 4 hot series out of 64
@@ -66,20 +67,23 @@ main()
         values_read += window.size();
     }
 
-    const auto &svc = db->svcStats();
+    // SVC figures are totals since open (the process runs one store);
+    // SSD reads count the query phase only.
+    const auto after = reg.snapshot();
+    const auto total = [&](const char *name) {
+        return static_cast<unsigned long long>(after.counter(name));
+    };
     std::printf("scanned %llu values over 400 range queries\n",
                 static_cast<unsigned long long>(values_read));
     std::printf("SVC: %llu hits, %llu admissions, %llu evictions\n",
-                static_cast<unsigned long long>(svc.hits.load()),
-                static_cast<unsigned long long>(svc.admissions.load()),
-                static_cast<unsigned long long>(svc.evictions.load()));
+                total("prism.svc.hits"), total("prism.svc.admissions"),
+                total("prism.svc.evictions"));
     std::printf("scan-aware reorganisations: %llu (rewrote %llu values "
                 "contiguously)\n",
-                static_cast<unsigned long long>(svc.scan_reorgs.load()),
-                static_cast<unsigned long long>(
-                    svc.reorged_values.load()));
+                total("prism.svc.scan_reorgs"),
+                total("prism.svc.reorged_values"));
     std::printf("SSD value reads: %llu\n",
                 static_cast<unsigned long long>(
-                    db->opStats().vs_reads.load() - ssd_reads_before));
+                    after.counterDelta(before, "prism.get.vs_reads")));
     return 0;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rand.h"
+#include "common/stats.h"
 #include "core/prism_db.h"
 #include "sim/device_profile.h"
 
@@ -87,26 +88,32 @@ main()
         t.join();
     sweeper.join();
 
-    const auto &st = db->opStats();
+    // The registry is process-wide; this process runs one store, so its
+    // absolute counters are this store's totals.
+    const auto st = stats::StatsRegistry::global().snapshot();
+    const uint64_t user_bytes = st.counter("prism.user_bytes_written");
     std::printf("sessions live:      %zu\n", db->size());
     std::printf("client reads:       %llu (SVC hits %llu, PWB hits %llu, "
                 "SSD reads %llu)\n",
                 static_cast<unsigned long long>(reads.load()),
-                static_cast<unsigned long long>(st.svc_hits.load()),
-                static_cast<unsigned long long>(st.pwb_hits.load()),
-                static_cast<unsigned long long>(st.vs_reads.load()));
+                static_cast<unsigned long long>(
+                    st.counter("prism.get.svc_hits")),
+                static_cast<unsigned long long>(
+                    st.counter("prism.get.pwb_hits")),
+                static_cast<unsigned long long>(
+                    st.counter("prism.get.vs_reads")));
     std::printf("client writes:      %llu (stale versions skipped at "
                 "reclaim: %llu)\n",
                 static_cast<unsigned long long>(writes.load()),
                 static_cast<unsigned long long>(
-                    st.reclaim_skipped_stale.load()));
+                    st.counter("prism.pwb.reclaim_skipped_stale")));
     std::printf("sessions expired:   %llu\n",
                 static_cast<unsigned long long>(expired.load()));
     std::printf("SSD bytes written:  %.1f MB for %.1f MB of user data "
                 "(WAF %.2f)\n",
                 static_cast<double>(db->ssdBytesWritten()) / 1e6,
-                static_cast<double>(st.user_bytes_written.load()) / 1e6,
+                static_cast<double>(user_bytes) / 1e6,
                 static_cast<double>(db->ssdBytesWritten()) /
-                    static_cast<double>(st.user_bytes_written.load()));
+                    static_cast<double>(user_bytes));
     return 0;
 }

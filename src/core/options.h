@@ -158,15 +158,14 @@ struct PrismOptions {
     double pwb_reclaim_force_utilization = 0.90;
     ///@}
 
-    /** @name Observability (docs/OBSERVABILITY.md) */
-    ///@{
     /**
-     * When > 0, a background thread dumps the process-wide stats
-     * registry to stderr every this-many milliseconds.
+     * @name Observability (docs/OBSERVABILITY.md)
+     *
+     * These ops options, and fault_spec below, drive process-wide
+     * machinery and are honoured only by ShardRouter, once per router.
+     * A directly built PrismDb (one shard) ignores them.
      */
-    uint64_t stats_dump_interval_ms = 0;
-    /** Dump format for the periodic dumper: JSON lines vs aligned text. */
-    bool stats_dump_json = false;
+    ///@{
     /**
      * Start with cross-layer tracing (src/common/trace.h) recording.
      * The tracer is process-wide; this just flips it on at open so a
@@ -176,7 +175,7 @@ struct PrismOptions {
     bool trace_enabled = false;
     /**
      * Ops slower than this many microseconds get their span tree copied
-     * into the keep-worst slow-op buffer (PrismDb::slowOps()). 0
+     * into the keep-worst slow-op buffer (ShardRouter::slowOps()). 0
      * disables capture. Implies ring recording while set.
      */
     uint64_t trace_slow_op_us = 0;
@@ -191,8 +190,8 @@ struct PrismOptions {
      * the stats registry into a ring of interval deltas (rate series,
      * occupancy series, per-layer busy-ns, per-device utilization).
      * Off (0) by default; ~100 ms is the intended granularity. The
-     * store that started the sampler stops it on close; the recorded
-     * series survives for export (PrismDb::telemetry()).
+     * router that started the sampler stops it on close; the recorded
+     * series survives for export (ShardRouter::telemetry()).
      */
     uint64_t telemetry_interval_ms = 0;
     /** Telemetry ring capacity in sampling windows (default 600 ≈ one
@@ -200,7 +199,7 @@ struct PrismOptions {
     uint64_t telemetry_windows = 600;
     /**
      * Sampling CPU profiler rate in Hz (common/prof.h). When > 0 the
-     * store arms the process-wide profiler at open (per-thread
+     * router arms the process-wide profiler at open (per-thread
      * CPU-time timers + SIGPROF backtraces, plus the lock-contention
      * profiler) and stops it at close if it did the arming. 0 (the
      * default) defers to $PRISM_PROF_HZ, then stays off — off means
@@ -215,10 +214,8 @@ struct PrismOptions {
      * /healthz, /readyz, /slowops, /telemetry and /trace on 127.0.0.1.
      * -1 (the default) defers to $PRISM_OBS_PORT, then stays off;
      * 0 binds an ephemeral port (published as the prism.obs.port gauge
-     * and via PrismDb::obsPort() / ShardRouter::obsPort()); >0 binds
-     * that port. Only a top-level store serves: a PrismDb owned by a
-     * ShardRouter never starts its own listener — the router runs one
-     * for the whole fleet.
+     * and via ShardRouter::obsPort()); >0 binds that port. The router
+     * runs one listener for the whole fleet.
      */
     int obs_port = -1;
     ///@}
@@ -226,10 +223,10 @@ struct PrismOptions {
     /** @name Fault injection (docs/FAULTS.md) */
     ///@{
     /**
-     * Fault schedule armed at open, in PRISM_FAULTS syntax
+     * Fault schedule armed at router open, in PRISM_FAULTS syntax
      * (`site=trigger[,payload:V][,oneshot];...`, see common/fault.h).
      * The registry is process-wide, so this *adds to* whatever the
-     * environment or an earlier instance armed; empty arms nothing.
+     * environment or an earlier router armed; empty arms nothing.
      * Tests and the torture harness use it to script failures without
      * touching the environment.
      */

@@ -1,6 +1,7 @@
 /**
  * @file
- * PrismDb — the public key-value store API (§4, Fig. 2).
+ * PrismDb — one Prism store (§4, Fig. 2); core::ShardRouter puts N of
+ * them behind the public engine API and owns the ops plane.
  *
  * Wires the five components together:
  *
@@ -45,8 +46,6 @@
 #include "common/epoch.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/telemetry.h"
-#include "common/trace.h"
 #include "common/thread_util.h"
 #include "core/async.h"
 #include "core/bg_pool.h"
@@ -61,52 +60,15 @@
 #include "pmem/pmem_region.h"
 #include "sim/ssd_device.h"
 
-namespace prism::obs {
-class ObsServer;
-struct HealthReport;
-}  // namespace prism::obs
-
 namespace prism::core {
 
-/** Operation counters exposed for benchmarks and tests. */
-struct PrismDbStats {
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> dels{0};
-    std::atomic<uint64_t> scans{0};
-    std::atomic<uint64_t> pwb_hits{0};   ///< gets served from the PWB
-    std::atomic<uint64_t> svc_hits{0};   ///< gets served from the SVC
-    std::atomic<uint64_t> vs_reads{0};   ///< gets that went to the SSD
-    std::atomic<uint64_t> reclaim_passes{0};
-    std::atomic<uint64_t> reclaimed_values{0};
-    std::atomic<uint64_t> reclaim_skipped_stale{0};  ///< dedup wins (§4.3)
-    std::atomic<uint64_t> user_bytes_written{0};     ///< WAF denominator
-    std::atomic<uint64_t> pwb_stalls{0};  ///< puts that waited for space
-};
-
 /**
- * Aggregate fault/degradation posture of the store (docs/FAULTS.md):
- * how much injected-fault and retry machinery has engaged since the
- * process started, and whether any SSD is currently dropped out. The
- * counters are process-wide (like the stats registry), so per-run
- * accounting should diff two snapshots.
+ * A Prism key-value store instance: one shard. It stores, recovers and
+ * runs its own background work. The process-wide ops plane (fault
+ * arming, tracer options, telemetry, profiler, crash handlers, the
+ * HTTP ops endpoint, error budget and occupancy gauges) belongs to
+ * ShardRouter; a PrismDb built directly ignores those options.
  */
-struct ErrorBudget {
-    uint64_t faults_fired = 0;        ///< prism.fault.fired
-    uint64_t ssd_io_errors = 0;       ///< sim.ssd.io_errors (injected)
-    uint64_t pwb_retries = 0;         ///< chunk-write retry submissions
-    uint64_t pwb_write_failures = 0;  ///< chunks abandoned after retries
-    uint64_t pwb_requeued_values = 0; ///< records clamped back into rings
-    uint64_t vs_retries = 0;          ///< VS read retries / GC skips
-    uint64_t vs_degraded = 0;         ///< GC passes skipped, sick device
-    uint64_t bg_task_faults = 0;      ///< injected bg-task failures
-    uint64_t degraded_devices = 0;    ///< SSDs currently in dropout
-
-    /** True while at least one SSD is refusing writes. */
-    bool degraded() const { return degraded_devices > 0; }
-};
-
-/** A Prism key-value store instance. */
 class PrismDb {
   public:
     /**
@@ -283,66 +245,24 @@ class PrismDb {
     /** Run GC passes until no Value Storage is above its watermark. */
     void forceGc();
 
-    /** @name Introspection for benchmarks */
+    /**
+     * @name Introspection for benchmarks
+     *
+     * Op counters live in the process-wide stats registry
+     * (docs/OBSERVABILITY.md); diff two StatsRegistry snapshots with
+     * counterDelta() for per-run accounting.
+     */
     ///@{
-    /**
-     * Snapshot of the process-wide metrics registry: every layer's
-     * counters/gauges/histograms by name (docs/OBSERVABILITY.md). The
-     * registry outlives (and is shared across) store instances, so
-     * per-run accounting should diff two snapshots with counterDelta().
-     */
-    stats::StatsSnapshot stats() const;
-
-    /**
-     * The process-wide telemetry sampler/ring (common/telemetry.h):
-     * windowed rate series over every registry metric plus per-layer
-     * busy-ns and per-device utilization. Started automatically when
-     * PrismOptions::telemetry_interval_ms > 0; `telemetry().series()`
-     * reads the recorded windows, `telemetry().exportSeriesJsonToFile`
-     * writes the series consumed by scripts/telemetry_report.py.
-     */
-    telemetry::Telemetry &telemetry() const {
-        return telemetry::Telemetry::global();
-    }
-
-    /**
-     * Current fault/degradation posture: injected-fault fires, retry and
-     * re-queue activity, and the number of currently dropped-out SSDs.
-     * Cheap enough to poll (a handful of counter sums).
-     */
-    ErrorBudget errorBudget() const;
-
-    /**
-     * /healthz + /readyz payload (common/obs_server.h): 200/503 flags
-     * plus an error-budget JSON body. Also the in-process render behind
-     * `prism_cli healthz`, so orchestrator and operator see one truth.
-     */
-    obs::HealthReport healthReport() const;
-
-    /**
-     * Bound port of this store's HTTP ops endpoint, 0 when no server is
-     * running (the default; see PrismOptions::obs_port).
-     */
-    int obsPort() const;
-
-    /**
-     * Refresh the derived occupancy gauges (summed PWB ring fill, SVC
-     * bytes) in the stats registry. Registered as a telemetry probe and
-     * run before every /metrics render; also useful before a manual
-     * snapshot.
-     */
-    void publishOccupancy();
-
-    /** This instance's raw operation counters (tests, benches). */
-    PrismDbStats &opStats() { return stats_; }
-    SvcStats &svcStats() { return svc_->stats(); }
     index::KeyIndex &keyIndex() { return *index_; }
     Hsit &hsit() { return *hsit_; }
     Svc &svc() { return *svc_; }
     ValueStorage &valueStorage(size_t i) { return *value_storages_[i]; }
     size_t valueStorageCount() const { return value_storages_.size(); }
     EpochManager &epochs() { return epochs_; }
-    BgPool &bgPool() { return *bg_pool_; }
+
+    /** Summed fill / capacity of this instance's per-thread PWB rings. */
+    uint64_t pwbUsedBytes() const;
+    uint64_t pwbCapacityBytes() const;
 
     /** Total SSD bytes written across all Value Storages (WAF numerator). */
     uint64_t ssdBytesWritten() const;
@@ -352,15 +272,6 @@ class PrismDb {
 
     /** Wall-clock nanoseconds the constructor spent in recovery. */
     uint64_t recoveryTimeNs() const { return recovery_ns_; }
-
-    /**
-     * Captured slow operations, worst first (ops whose wall time
-     * exceeded PrismOptions::trace_slow_op_us; see common/trace.h).
-     * The buffer is process-wide, like the stats registry.
-     */
-    std::vector<trace::SlowOp> slowOps() const {
-        return trace::TraceRegistry::global().slowOps();
-    }
     ///@}
 
   private:
@@ -401,7 +312,6 @@ class PrismDb {
 
     void reclaimerLoop();
     void gcLoop();
-    void statsDumperLoop();
     /**
      * One reclamation pass over @p pwb (§5.2, Fig. 4), pipelined: up to
      * reclaim_pipeline_depth chunk writes stay in flight, each chunk
@@ -476,14 +386,6 @@ class PrismDb {
     /** One outstanding GC dispatch per Value Storage. */
     std::unique_ptr<std::atomic<bool>[]> gc_scheduled_;
 
-    // Optional periodic dump of the stats registry (PrismOptions::
-    // stats_dump_interval_ms).
-    std::thread stats_dumper_;
-    std::mutex dumper_mu_;
-    std::condition_variable dumper_cv_;
-
-    PrismDbStats stats_;
-
     /** Cached process-wide registry metrics (see common/stats.h). */
     struct RegMetrics {
         stats::Counter *puts;
@@ -508,23 +410,9 @@ class PrismDb {
     };
     RegMetrics reg_;
 
-    /** Telemetry wiring: probe id for publishOccupancy(), and whether
-     *  this instance started the (process-wide) sampler. */
-    int telemetry_probe_ = -1;
-    bool telemetry_started_ = false;
-
-    /** Whether this instance armed the (process-wide) CPU/lock profiler
-     *  at open (PrismOptions::prof_hz); the owner stops it at close. */
-    bool owns_prof_ = false;
-
     /** Async ops in flight; the destructor waits it out before teardown
      *  (their completion paths touch the SVC, HSIT and bg pool). */
     std::atomic<uint64_t> async_inflight_{0};
-
-    /** HTTP ops endpoint, when PrismOptions::obs_port asked for one and
-     *  this store is top-level (owns its pool). Stopped first in the
-     *  destructor — its handlers call back into this object. */
-    std::unique_ptr<obs::ObsServer> obs_;
 
     uint64_t recovery_ns_ = 0;
 };

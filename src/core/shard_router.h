@@ -19,13 +19,20 @@
  *    split N ways;
  *  - the process-wide stats registry / telemetry / tracer, as always.
  *
+ * The router is the only owner of process-wide ops machinery: it arms
+ * fault schedules, applies tracer options, starts and stops telemetry
+ * and the profiler, installs crash handlers and runs the HTTP ops
+ * endpoint, each once per router. Its shards only store, recover and
+ * run their own background work.
+ *
  * Placement: on multi-node machines each shard is assigned a NUMA node
  * round-robin (common/numa.h) and its background threads (reclaimer,
  * GC scheduler, VS completion) are pinned there; single-node machines
  * run unpinned. The assignment is surfaced per shard as
  * prism.shard.<n>.node and the per-shard key count as
- * prism.shard.<n>.keys (a telemetry probe, like PrismDb's occupancy
- * probe), plus a prism.shard.<n>.ops counter on the routing hot path.
+ * prism.shard.<n>.keys (published with the fleet occupancy gauges by
+ * publishOccupancy()), plus a prism.shard.<n>.ops counter on the
+ * routing hot path.
  *
  * Routing: shardOf(key) = hash64(key) & (N-1); N must be a power of
  * two. hash64 is splitmix64's finalizer — the same scrambling the YCSB
@@ -58,6 +65,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/async.h"
 #include "core/bg_pool.h"
 #include "core/options.h"
@@ -65,7 +74,34 @@
 #include "io/io_backend.h"
 #include "pmem/pmem_region.h"
 
+namespace prism::obs {
+class ObsServer;
+struct HealthReport;
+}  // namespace prism::obs
+
 namespace prism::core {
+
+/**
+ * Aggregate fault/degradation posture of the store (docs/FAULTS.md):
+ * how much injected-fault and retry machinery has engaged since the
+ * process started, and whether any SSD is currently dropped out. The
+ * counters are process-wide (like the stats registry), so per-run
+ * accounting should diff two snapshots.
+ */
+struct ErrorBudget {
+    uint64_t faults_fired = 0;        ///< prism.fault.fired
+    uint64_t ssd_io_errors = 0;       ///< sim.ssd.io_errors (injected)
+    uint64_t pwb_retries = 0;         ///< chunk-write retry submissions
+    uint64_t pwb_write_failures = 0;  ///< chunks abandoned after retries
+    uint64_t pwb_requeued_values = 0; ///< records clamped back into rings
+    uint64_t vs_retries = 0;          ///< VS read retries / GC skips
+    uint64_t vs_degraded = 0;         ///< GC passes skipped, sick device
+    uint64_t bg_task_faults = 0;      ///< injected bg-task failures
+    uint64_t degraded_devices = 0;    ///< SSDs currently in dropout
+
+    /** True while at least one SSD is refusing writes. */
+    bool degraded() const { return degraded_devices > 0; }
+};
 
 /** Everything one shard owns exclusively. */
 struct ShardBackends {
@@ -158,48 +194,54 @@ class ShardRouter {
         return stats::StatsRegistry::global().snapshot();
     }
     /**
-     * Fleet error budget: the counter fields are process-wide (any
-     * shard reports the same values); degraded_devices is summed over
-     * every shard's device slice so a dropout anywhere flips
-     * degraded().
+     * Fleet error budget: injected-fault fires, retry and re-queue
+     * activity (process-wide registry counters), and the number of
+     * currently dropped-out SSDs over every shard's device slice, so a
+     * dropout anywhere flips degraded(). Cheap enough to poll.
      */
     ErrorBudget errorBudget() const;
 
-    /** /healthz payload aggregated over the fleet (obs_server.h). */
+    /**
+     * /healthz + /readyz payload aggregated over the fleet
+     * (common/obs_server.h): 200/503 flags plus an error-budget JSON
+     * body. Also the in-process render behind `prism_cli healthz`.
+     */
     obs::HealthReport healthReport() const;
+
+    /**
+     * Refresh the fleet occupancy gauges (prism.pwb.used_bytes /
+     * capacity_bytes and prism.svc.used_bytes / capacity_bytes, summed
+     * over every shard) and the per-shard key gauges. Registered as a
+     * telemetry probe and run before every /metrics render; also
+     * useful before a manual snapshot.
+     */
+    void publishOccupancy();
 
     /** Bound port of the router's HTTP ops endpoint, 0 when off. */
     int obsPort() const;
     uint64_t ssdBytesWritten() const;
     uint64_t nvmIndexBytes() const;
 
-    /**
-     * Cross-shard aggregate of the per-instance op counters, refreshed
-     * on every call (the returned reference stays valid; fields are
-     * monotonic sums over the shards). Lets PrismDb call sites read
-     * stats without caring about the shard count.
-     */
-    PrismDbStats &opStats();
-    /** Cross-shard aggregate of the SVC counters (same contract). */
-    SvcStats &svcStats();
-
     /** Flat view over every shard's Value Storages (shard-major). */
     size_t valueStorageCount() const;
-    ValueStorage &valueStorage(size_t global_idx);
+    ValueStorage &valueStorage(size_t global_idx) const;
 
-    /** Process-wide facilities (identical on every shard). */
+    /**
+     * The process-wide telemetry sampler/ring (common/telemetry.h):
+     * windowed rate series over every registry metric plus per-layer
+     * busy-ns and per-device utilization. Started at open when
+     * PrismOptions::telemetry_interval_ms > 0.
+     */
     telemetry::Telemetry &telemetry() const {
         return telemetry::Telemetry::global();
     }
+    /**
+     * Captured slow operations, worst first (ops slower than
+     * PrismOptions::trace_slow_op_us; see common/trace.h).
+     */
     std::vector<trace::SlowOp> slowOps() const {
         return trace::TraceRegistry::global().slowOps();
     }
-
-    /** Shard 0's components, for single-shard-minded call sites. */
-    Svc &svc() { return shards_[0]->svc(); }
-    index::KeyIndex &keyIndex() { return shards_[0]->keyIndex(); }
-    Hsit &hsit() { return shards_[0]->hsit(); }
-    EpochManager &epochs() { return shards_[0]->epochs(); }
     /**
      * Wall-clock ns spent constructing the shards. Recovery is
      * *sequential* across shards on purpose: fault-injection triggers
@@ -211,8 +253,6 @@ class ShardRouter {
     ///@}
 
   private:
-    void publishShardGauges();
-
     PrismOptions opts_;
     std::shared_ptr<BgPool> pool_;
     std::vector<std::unique_ptr<PrismDb>> shards_;
@@ -226,15 +266,20 @@ class ShardRouter {
     /** Router-level async scans on the pool; drained by the dtor. */
     std::atomic<uint64_t> async_scan_inflight_{0};
 
-    /** Aggregates behind opStats()/svcStats(); see their contract. */
-    PrismDbStats agg_op_stats_;
-    SvcStats agg_svc_stats_;
+    /** Fleet occupancy gauges (publishOccupancy()). */
+    stats::Gauge *reg_pwb_used_;
+    stats::Gauge *reg_pwb_capacity_;
+    stats::Gauge *reg_svc_used_;
+    stats::Gauge *reg_svc_capacity_;
 
+    /** Telemetry probe id, and whether this router started the sampler
+     *  / the profiler (the process-wide owner stops them at close). */
     int telemetry_probe_ = -1;
+    bool telemetry_started_ = false;
+    bool owns_prof_ = false;
     uint64_t recovery_ns_ = 0;
 
-    /** Fleet-wide HTTP ops endpoint (the shards never start their
-     *  own); stopped first in the destructor. */
+    /** Fleet-wide HTTP ops endpoint; stopped first in the destructor. */
     std::unique_ptr<obs::ObsServer> obs_;
 };
 

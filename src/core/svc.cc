@@ -61,20 +61,17 @@ Svc::lookup(uint64_t hsit_idx, uint64_t primary_raw, std::string *out)
     PRISM_TRACE_SPAN("svc.lookup");
     auto *e = static_cast<SvcEntry *>(hsit_.svcLoad(hsit_idx));
     if (e == nullptr) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
         reg_misses_->inc();
         return false;
     }
     // Staleness validation: the copy is authoritative only while the
     // forward pointer still names the record it was taken from.
     if (e->vs_raw.load(std::memory_order_acquire) != primary_raw) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
         reg_misses_->inc();
         return false;
     }
     out->assign(reinterpret_cast<const char *>(e->data()), e->size);
     e->referenced.store(true, std::memory_order_relaxed);
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
     reg_hits_->inc();
     return true;
 }
@@ -102,7 +99,6 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
         operator delete(e);
         return;
     }
-    stats_.admissions.fetch_add(1, std::memory_order_relaxed);
     reg_admissions_->inc();
     {
         std::lock_guard<prof::TimedMutex> lock(ev_mu_);
@@ -361,7 +357,6 @@ Svc::evictOne()
         admitted_.erase(e);
         retireEntry(e);
     }
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     reg_evictions_->inc();
 }
 
@@ -458,8 +453,6 @@ Svc::reorganizeChain(SvcEntry *evictee)
                              new_addrs[i].recordBytes());
         }
     }
-    stats_.scan_reorgs.fetch_add(1, std::memory_order_relaxed);
-    stats_.reorged_values.fetch_add(moved, std::memory_order_relaxed);
     reg_scan_reorgs_->inc();
     reg_reorged_values_->add(moved);
 }

@@ -355,10 +355,6 @@ ValueStorage::runGcPass(Hsit &hsit)
     }
 
     if (!survivors.empty()) {
-        uint64_t moved = 0;
-        for (const auto &s : survivors)
-            moved += recordBytes(static_cast<uint32_t>(s.payload.size()));
-        reg_gc_moved_bytes_->add(moved);
         // Rewrite survivors within this same Value Storage (§5.2).
         ChunkWriter writer({this});
         std::vector<ValueAddr> new_addrs;
@@ -367,9 +363,22 @@ ValueStorage::runGcPass(Hsit &hsit)
             const ValueAddr a = writer.add(
                 s.hsit_idx, s.key, s.payload.data(),
                 static_cast<uint32_t>(s.payload.size()));
-            PRISM_CHECK(!a.isNull() && "Value Storage exhausted during GC");
+            if (a.isNull())
+                break;
             new_addrs.push_back(a);
         }
+        if (new_addrs.size() < survivors.size()) {
+            // No free chunk right now (frees wait out an epoch, and
+            // reclaim passes hold chunks in flight): the unmoved
+            // survivors stay valid in their victims, which are then not
+            // freed below, and a later pass retries them.
+            reg_retries_->inc();
+            survivors.resize(new_addrs.size());
+        }
+        uint64_t moved = 0;
+        for (const auto &s : survivors)
+            moved += recordBytes(static_cast<uint32_t>(s.payload.size()));
+        reg_gc_moved_bytes_->add(moved);
         const Status st = writer.finish();
         PRISM_CHECK(st.isOk());
 

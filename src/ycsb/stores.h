@@ -85,9 +85,11 @@ class PrismStore : public KvStore {
     uint64_t ssdBytesWritten() const override {
         return router_->ssdBytesWritten();
     }
+    /** Process-wide prism.user_bytes_written; callers diff readings. */
     uint64_t userBytesWritten() const override {
-        return router_->opStats().user_bytes_written.load(
-            std::memory_order_relaxed);
+        return stats::StatsRegistry::global()
+            .counter("prism.user_bytes_written")
+            .value();
     }
 
     // Native async engine (core/async.h) instead of the sync-wrapping
@@ -116,9 +118,9 @@ class PrismStore : public KvStore {
     }
 
     /**
-     * The store behind the fixture. A ShardRouter mirrors PrismDb's
-     * public surface (ops, stats, flushAll/forceGc, value-storage
-     * introspection), so call sites read naturally at any shard count.
+     * The store behind the fixture: the router is the public engine
+     * (ops, flushAll/forceGc, value-storage introspection and the ops
+     * plane) at any shard count.
      */
     core::ShardRouter &db() { return *router_; }
     core::ShardRouter &router() { return *router_; }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/rand.h"
+#include "common/stats.h"
 #include "core/prism_db.h"
 #include "sim/device_profile.h"
 
@@ -103,7 +104,7 @@ TEST(BgIoStressTest, ParallelReclaimAndGcNeverLoseValues)
     constexpr uint64_t kKeysPerWriter = 4000;
     constexpr int kRoundsPerWriter = 4;
 
-    const auto before = rig.db->stats();
+    const auto before = stats::StatsRegistry::global().snapshot();
     std::vector<std::thread> writers;
     std::atomic<bool> stop_gc{false};
     std::thread gc_kicker([&] {
@@ -144,12 +145,12 @@ TEST(BgIoStressTest, ParallelReclaimAndGcNeverLoseValues)
     }
 
     // The engine demonstrably ran in parallel-dispatch mode.
-    const auto after = rig.db->stats();
+    const auto after = stats::StatsRegistry::global().snapshot();
     EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaim_dispatches"),
               0u);
     EXPECT_GT(after.counterDelta(before, "prism.bg.tasks"), 0u);
     EXPECT_GT(after.counterDelta(before, "prism.vs.gc_passes"), 0u);
-    EXPECT_GT(rig.db->opStats().reclaim_passes.load(), 0u);
+    EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaim_passes"), 0u);
 }
 
 TEST(BgIoStressTest, CrashMidParallelReclaimRecoversExactlyOnce)

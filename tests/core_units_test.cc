@@ -491,6 +491,53 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
     }
 }
 
+TEST(ValueStorageTest, GcWithNoFreeChunkLeavesSurvivorsInPlace)
+{
+    VsFixture fx;
+    ChunkWriter writer({fx.vs.get()});
+    std::string value(3000, 'n');
+    struct Item {
+        uint64_t h;
+        ValueAddr addr;
+    };
+    std::vector<Item> items;
+    for (int i = 0; i < 40; i++) {
+        const uint64_t h = fx.hsit->allocEntry();
+        const ValueAddr a = writer.add(h, static_cast<uint64_t>(i),
+                                       value.data(), 3000);
+        ASSERT_FALSE(a.isNull());
+        items.push_back({h, a});
+    }
+    ASSERT_TRUE(writer.finish().isOk());
+    for (const auto &it : items) {
+        fx.vs->setValid(it.addr.offset(), it.addr.recordBytes());
+        fx.hsit->storePrimaryDurable(it.h, it.addr);
+    }
+    writer.settleAll();
+    for (size_t i = 0; i < items.size(); i++) {
+        if (i % 8 == 0)
+            continue;
+        fx.vs->clearValid(items[i].addr.offset(),
+                          items[i].addr.recordBytes());
+        fx.hsit->storePrimaryDurable(items[i].h, ValueAddr());
+    }
+
+    // Every free chunk is taken: the pass cannot place any survivor, so
+    // it must leave them (and their victims) alone rather than abort.
+    std::vector<int64_t> held;
+    for (int64_t c = fx.vs->allocChunk(); c >= 0; c = fx.vs->allocChunk())
+        held.push_back(c);
+    EXPECT_EQ(fx.vs->runGcPass(*fx.hsit), 0u);
+    std::vector<uint8_t> buf;
+    for (size_t i = 0; i < items.size(); i += 8) {
+        EXPECT_EQ(fx.hsit->loadPrimary(items[i].h), items[i].addr);
+        ASSERT_TRUE(fx.vs->readRecord(items[i].addr, buf).isOk());
+        EXPECT_EQ(reinterpret_cast<const ValueRecordHeader *>(buf.data())
+                      ->backward,
+                  items[i].h);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // ReadBatcher
 

@@ -19,6 +19,7 @@
 #include "common/stats.h"
 #include "core/chunk_writer.h"
 #include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
 
 namespace prism::core {
@@ -184,12 +185,17 @@ smallOptions()
     return opts;
 }
 
+/**
+ * A one-shard router: the ops plane the wiring tests check (fault_spec
+ * arming, errorBudget()) lives there, and one shard is bit-identical to
+ * a plain PrismDb.
+ */
 struct Rig {
     PrismOptions opts;
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
 
     explicit Rig(const PrismOptions &o, int num_ssds) : opts(o)
     {
@@ -200,7 +206,9 @@ struct Rig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 kSsdBytes, sim::kSamsung980ProProfile, /*timing=*/false));
         }
-        db = PrismDb::open(opts, region, ssds);
+        std::vector<ShardBackends> shards;
+        shards.push_back({region, PrismDb::asBackends(ssds)});
+        db = ShardRouter::open(opts, std::move(shards));
     }
 };
 

@@ -266,20 +266,6 @@ TEST(IntegrationTest, ConcurrentMixedWorkloadStaysConsistent)
 // ---------------------------------------------------------------------------
 // Metrics registry consistency (docs/OBSERVABILITY.md)
 
-TEST(IntegrationTest, PeriodicStatsDumperStartsAndStopsCleanly)
-{
-    core::PrismOptions opts;
-    opts.stats_dump_interval_ms = 5;
-    opts.stats_dump_json = true;
-    Rig rig(opts);
-    for (uint64_t k = 0; k < 100; k++)
-        ASSERT_TRUE(rig.db->put(k, "dump").isOk());
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    // Destruction must join the dumper without deadlock; rely on the
-    // test timeout to catch a hang.
-    rig.db.reset();
-}
-
 TEST(IntegrationTest, RegistryStaysConsistentAcrossYcsbRun)
 {
     ycsb::FixtureOptions fx;

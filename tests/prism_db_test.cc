@@ -5,9 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <random>
 #include <thread>
 
+#include "common/stats.h"
 #include "core/prism_db.h"
 #include "sim/device_profile.h"
 
@@ -16,6 +18,10 @@ namespace {
 
 /** A small store on fast (untimed) simulated devices. */
 struct TestStore {
+    /** Registry state before this store opened (the registry is
+     *  process-wide, so per-test accounting is a delta). */
+    const stats::StatsSnapshot before =
+        stats::StatsRegistry::global().snapshot();
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
@@ -39,6 +45,14 @@ struct TestStore {
         }
         if (open_now)
             db = PrismDb::open(opts, region, ssds);
+    }
+
+    /** Growth of registry counter @p name since this store opened. */
+    uint64_t
+    counted(const char *name) const
+    {
+        return stats::StatsRegistry::global().snapshot().counterDelta(
+            before, name);
     }
 
     /** Orderly restart (no crash): destroy and recover on same media. */
@@ -108,7 +122,7 @@ TEST(PrismDbTest, ManyKeysSurviveReclamation)
         ASSERT_TRUE(ts.db->get(k, &v).isOk()) << k;
         EXPECT_EQ(v, valueFor(k)) << k;
     }
-    EXPECT_GT(ts.db->opStats().reclaim_passes.load(), 0u);
+    EXPECT_GT(ts.counted("prism.pwb.reclaim_passes"), 0u);
 }
 
 TEST(PrismDbTest, UpdatesDedupOnReclaim)
@@ -121,7 +135,7 @@ TEST(PrismDbTest, UpdatesDedupOnReclaim)
             ASSERT_TRUE(ts.db->put(k, valueFor(k + round)).isOk());
     }
     ts.db->flushAll();
-    EXPECT_GT(ts.db->opStats().reclaim_skipped_stale.load(), 0u);
+    EXPECT_GT(ts.counted("prism.pwb.reclaim_skipped_stale"), 0u);
     for (uint64_t k = 0; k < 100; k++) {
         std::string v;
         ASSERT_TRUE(ts.db->get(k, &v).isOk());
@@ -159,7 +173,7 @@ TEST(PrismDbTest, ScanAfterReclaimReadsFromSsd)
     ASSERT_EQ(out.size(), 50u);
     for (const auto &[k, v] : out)
         EXPECT_EQ(v, valueFor(k));
-    EXPECT_GT(ts.db->opStats().vs_reads.load(), 0u);
+    EXPECT_GT(ts.counted("prism.get.vs_reads"), 0u);
 }
 
 TEST(PrismDbTest, RestartRecoversData)
@@ -216,7 +230,7 @@ TEST(PrismDbTest, SvcServesRepeatedReads)
     ASSERT_TRUE(ts.db->get(77, &v).isOk());   // SSD read + admission
     ASSERT_TRUE(ts.db->get(77, &v).isOk());   // should hit the SVC
     EXPECT_EQ(v, valueFor(77));
-    EXPECT_GT(ts.db->svcStats().hits.load(), 0u);
+    EXPECT_GT(ts.counted("prism.svc.hits"), 0u);
 }
 
 TEST(PrismDbTest, SvcNeverServesStaleAfterUpdate)
@@ -330,24 +344,54 @@ TEST(PrismDbTest, DetectsCorruptedSsdRecord)
         ASSERT_TRUE(ts.db->put(k, valueFor(k)).isOk());
     ts.db->flushAll();
 
-    // Locate a value on SSD through the store's own metadata and flip a
-    // payload byte directly on the device.
-    const auto h = ts.db->keyIndex().lookup(123);
-    ASSERT_TRUE(h.has_value());
-    const core::ValueAddr addr = ts.db->hsit().loadPrimary(*h);
-    ASSERT_TRUE(addr.isVs());
-    uint8_t byte;
-    const uint64_t victim_off =
-        addr.offset() + sizeof(core::ValueRecordHeader) + 5;
-    ts.ssds[addr.ssdId()]->readSync(victim_off, &byte, 1);
-    byte ^= 0xFF;
-    ts.ssds[addr.ssdId()]->writeSync(victim_off, &byte, 1);
+    // Find a key's record on SSD through the store's own metadata:
+    // (device, record offset).
+    const auto locate = [&](uint64_t key) {
+        const auto h = ts.db->keyIndex().lookup(key);
+        EXPECT_TRUE(h.has_value());
+        const core::ValueAddr addr = ts.db->hsit().loadPrimary(*h);
+        EXPECT_TRUE(addr.isVs());
+        return std::make_pair(ts.ssds[addr.ssdId()], addr.offset());
+    };
 
+    // Flip a payload byte directly on the device: every read path must
+    // report it.
+    {
+        const auto [ssd, off] = locate(123);
+        uint8_t byte;
+        const uint64_t victim_off = off + sizeof(core::ValueRecordHeader) + 5;
+        ssd->readSync(victim_off, &byte, 1);
+        byte ^= 0xFF;
+        ssd->writeSync(victim_off, &byte, 1);
+    }
     std::string v;
-    const Status st = ts.db->get(123, &v);
+    Status st = ts.db->get(123, &v);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+    st = ts.db->asyncGet(123).wait();
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+    std::vector<std::pair<uint64_t, std::string>> rows;
+    st = ts.db->scan(120, 8, &rows);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+    std::vector<std::optional<std::string>> vals;
+    st = ts.db->multiGet({122, 123, 124}, &vals);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+
+    // A length past the record's extent, backward pointer intact: the
+    // check must fire before any CRC runs over value_size bytes.
+    {
+        const auto [ssd, off] = locate(1500);
+        const uint32_t huge = 16u << 20;
+        ssd->writeSync(off + offsetof(core::ValueRecordHeader, value_size),
+                       &huge, sizeof(huge));
+    }
+    st = ts.db->scan(1500, 1, &rows);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+    st = ts.db->get(1500, &v);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.toString();
+
     // Other keys remain readable.
     EXPECT_TRUE(ts.db->get(124, &v).isOk());
+    EXPECT_EQ(v, valueFor(124));
 }
 
 TEST(PrismDbTest, StatsAccounting)
@@ -358,10 +402,10 @@ TEST(PrismDbTest, StatsAccounting)
     std::string v;
     for (uint64_t k = 0; k < 100; k++)
         ASSERT_TRUE(ts.db->get(k, &v).isOk());
-    EXPECT_EQ(ts.db->opStats().puts.load(), 100u);
-    EXPECT_EQ(ts.db->opStats().gets.load(), 100u);
+    EXPECT_EQ(ts.counted("prism.puts"), 100u);
+    EXPECT_EQ(ts.counted("prism.gets"), 100u);
     // All values still in PWB: reads are NVM hits.
-    EXPECT_EQ(ts.db->opStats().pwb_hits.load(), 100u);
+    EXPECT_EQ(ts.counted("prism.get.pwb_hits"), 100u);
     EXPECT_GT(ts.db->nvmIndexBytes(), 0u);
 }
 

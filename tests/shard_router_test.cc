@@ -8,6 +8,7 @@
  *    duplicates and misses included;
  *  - shards=1 is behaviourally identical to a plain PrismDb driven
  *    with the same op sequence;
+ *  - the occupancy gauges sum every shard's PWB and SVC bytes;
  *  - N-shard crash recovery survives a second crash landing *between*
  *    per-shard recoveries (shard 0 recovered alone, killed, then the
  *    whole router recovered) — states equal to the model;
@@ -30,6 +31,7 @@
 #include "common/numa.h"
 #include "common/rand.h"
 #include "common/stats.h"
+#include "common/telemetry.h"
 #include "core/bg_pool.h"
 #include "core/prism_db.h"
 #include "core/shard_router.h"
@@ -247,6 +249,25 @@ TEST(ShardRouterTest, SingleShardMatchesPlainPrismDb)
     ASSERT_TRUE(rig.db->scan(0, 100000, &fa).isOk());
     ASSERT_TRUE(plain->scan(0, 100000, &fb).isOk());
     ASSERT_EQ(fa, fb);
+}
+
+TEST(ShardRouterTest, OccupancyGaugesSumTheFleet)
+{
+    // The occupancy gauges describe the whole router: every shard's
+    // SVC budget and PWB fill, not whichever shard published last.
+    RouterRig rig(2);
+    uint64_t put_bytes = 0;
+    for (uint64_t k = 0; k < 400; k++) {  // ~20% of each ring: no reclaim
+        const std::string v = valueFor(k, 1);
+        ASSERT_TRUE(rig.db->put(k, v).isOk());
+        put_bytes += v.size();
+    }
+    telemetry::Telemetry::global().sampleNow();
+    const auto snap = stats::StatsRegistry::global().snapshot();
+    EXPECT_EQ(snap.gauge("prism.svc.capacity_bytes"),
+              2 * static_cast<int64_t>(rig.opts.svc_capacity_bytes));
+    EXPECT_GE(snap.gauge("prism.pwb.used_bytes"),
+              static_cast<int64_t>(put_bytes));
 }
 
 TEST(ShardRouterTest, CrashBetweenShardRecoveries)

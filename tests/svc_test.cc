@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/stats.h"
 #include "core/chunk_writer.h"
 #include "core/svc.h"
 #include "sim/device_profile.h"
@@ -15,6 +16,9 @@ namespace prism::core {
 namespace {
 
 struct SvcFixture {
+    /** Registry state before the cache existed (process-wide). */
+    const stats::StatsSnapshot before =
+        stats::StatsRegistry::global().snapshot();
     std::shared_ptr<sim::NvmDevice> nvm;
     std::unique_ptr<pmem::PmemRegion> region;
     std::unique_ptr<pmem::PmemAllocator> alloc;
@@ -42,6 +46,14 @@ struct SvcFixture {
         svc = std::make_unique<Svc>(*hsit, epochs,
                                     std::vector<ValueStorage *>{vs.get()},
                                     opts);
+    }
+
+    /** Growth of registry counter @p name since the fixture was built. */
+    uint64_t
+    counted(const char *name) const
+    {
+        return stats::StatsRegistry::global().snapshot().counterDelta(
+            before, name);
     }
 
     /** Write a record to Value Storage and publish it in the HSIT. */
@@ -130,7 +142,7 @@ TEST(SvcTest, CapacityPressureEvicts)
     }
     fx.svc->drainForTest();
     EXPECT_LE(fx.svc->usedBytes(), 2 * 64 * 1024u);
-    EXPECT_GT(fx.svc->stats().evictions.load(), 100u);
+    EXPECT_GT(fx.counted("prism.svc.evictions"), 100u);
     // The most recently admitted entries are the ones that survive.
     EpochGuard guard(fx.epochs);
     std::string out;
@@ -214,8 +226,8 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
             fx.svc->drainForTest();
     }
     fx.svc->drainForTest();
-    EXPECT_GT(fx.svc->stats().scan_reorgs.load(), 0u);
-    EXPECT_GT(fx.svc->stats().reorged_values.load(), 1u);
+    EXPECT_GT(fx.counted("prism.svc.scan_reorgs"), 0u);
+    EXPECT_GT(fx.counted("prism.svc.reorged_values"), 1u);
 
     // Reorganised values must still resolve and be contiguous-ish:
     // at least one pair of key-adjacent values now sits adjacent on

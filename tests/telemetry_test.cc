@@ -340,7 +340,7 @@ TEST_F(TelemetryTest, Fig17PhasesAppearAsRateChangesInThreeLayers)
     fx.expected_threads = 2;
 
     core::PrismOptions opts;
-    opts.telemetry_interval_ms = 5;  // exercise the PrismDb wiring
+    opts.telemetry_interval_ms = 5;  // exercise the router wiring
     opts.telemetry_windows = 512;
 
     {
@@ -396,7 +396,7 @@ TEST_F(TelemetryTest, Fig17PhasesAppearAsRateChangesInThreeLayers)
     layers_with_phases += phased({"prism.bg.tasks"});           // bg
     EXPECT_GE(layers_with_phases, 3);
 
-    // The PrismDb occupancy probe published its gauges into samples.
+    // The router's occupancy probe published its gauges into samples.
     bool saw_svc_capacity = false;
     for (const auto &w : series)
         saw_svc_capacity |= w.gauge("prism.svc.capacity_bytes") > 0;
