@@ -1,6 +1,7 @@
 #include "core/chunk_writer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "common/clock.h"
@@ -16,11 +17,15 @@ constexpr int kMaxWriteRetries = 6;
 /** Capped exponential backoff between retries. */
 constexpr uint64_t kRetryBackoffBaseNs = 20'000;
 constexpr uint64_t kRetryBackoffCapNs = 1'000'000;
+/** Numbers writers so equal seeds still start on different targets. */
+std::atomic<uint64_t> g_writer_seq{0};
 }  // namespace
 
 ChunkWriter::ChunkWriter(std::vector<ValueStorage *> targets, uint64_t seed,
                          int max_inflight)
-    : targets_(std::move(targets)), rng_(seed),
+    : targets_(std::move(targets)),
+      rng_(seed ^ hash64(g_writer_seq.fetch_add(
+                      1, std::memory_order_relaxed))),
       chunk_bytes_(targets_.empty() ? 0 : targets_[0]->chunkBytes()),
       max_inflight_(max_inflight)
 {
@@ -38,10 +43,14 @@ ChunkWriter::~ChunkWriter()
     // tickets' waiters are not dangling.
     if (!finished_)
         (void)finish();
+    // A barrier-mode caller that gave up before publishing: settle its
+    // chunks and park its tail so neither stays out of GC's reach.
+    if (!callback_)
+        settleAll();
 }
 
 bool
-ChunkWriter::openChunk()
+ChunkWriter::openChunk(uint32_t need)
 {
     // Prefer a healthy, idle Value Storage (no in-flight requests),
     // falling back to any healthy one, then to a random target — §5.2's
@@ -66,11 +75,12 @@ ChunkWriter::openChunk()
     if (pick == nullptr)
         pick = targets_[start];
 
-    int64_t chunk = pick->allocChunk();
+    uint32_t base = 0;
+    int64_t chunk = pick->openChunk(need, &base);
     if (chunk < 0) {
         // The preferred target is full; try the others.
         for (ValueStorage *vs : targets_) {
-            chunk = vs->allocChunk();
+            chunk = vs->openChunk(need, &base);
             if (chunk >= 0) {
                 pick = vs;
                 break;
@@ -82,7 +92,8 @@ ChunkWriter::openChunk()
 
     cur_vs_ = pick;
     cur_chunk_ = chunk;
-    cur_used_ = 0;
+    cur_base_ = base;
+    cur_used_ = base;
     cur_first_record_ = records_added_;
     if (!cur_buf_)
         cur_buf_.reset(new uint8_t[chunk_bytes_]);
@@ -97,10 +108,10 @@ ChunkWriter::add(uint64_t hsit_idx, uint64_t key, const void *data,
     const uint64_t bytes = recordBytes(size);
     PRISM_CHECK(bytes <= chunk_bytes_);
     if (cur_vs_ != nullptr && cur_used_ + bytes > chunk_bytes_) {
-        const Status st = submitCurrent();
+        const Status st = submitCurrent(/*last=*/false);
         PRISM_CHECK(st.isOk());
     }
-    if (cur_vs_ == nullptr && !openChunk())
+    if (cur_vs_ == nullptr && !openChunk(static_cast<uint32_t>(bytes)))
         return ValueAddr();
 
     auto *hdr = reinterpret_cast<ValueRecordHeader *>(
@@ -154,15 +165,28 @@ ChunkWriter::reapFront(bool block)
     reg_inflight_->sub(1);
     if (f.ticket->failed()) {
         // Permanent failure: these records never became durable on SSD.
-        // Recycle the chunk unwritten (nothing references it — the
-        // callback that would have published the addresses never fires)
-        // and remember the record range so the caller can re-queue or
-        // skip those records.
+        // Nothing references them (the callback that would have
+        // published the addresses never fires); remember the record
+        // range so the caller can re-queue or skip those records.
         reg_write_failures_->inc();
         failed_ranges_.emplace_back(f.first_record, f.record_count);
-        f.vs->freeChunkDeferred(f.chunk);
-    } else if (callback_) {
-        callback_(f.vs, f.chunk, f.first_record, f.record_count);
+        if (f.base == 0) {
+            // A chunk this writer allocated: recycle it unwritten.
+            f.vs->freeChunkDeferred(f.chunk);
+        } else {
+            // A continued tail: the records below base are published,
+            // so keep them and close the chunk behind them.
+            f.vs->sealChunk(f.chunk, f.base);
+            f.vs->settleChunk(f.chunk);
+        }
+    } else {
+        if (f.last)
+            pending_tail_ = {f.vs, f.chunk, f.used};
+        else
+            f.vs->sealChunk(f.chunk, f.used);
+        written_.emplace_back(f.vs, f.chunk);
+        if (callback_)
+            callback_(f.vs, f.chunk, f.first_record, f.record_count);
     }
     span.arg(PRISM_TRACE_NID("records"), f.record_count);
     span.arg(PRISM_TRACE_NID("wall_ns"), nowNs() - f.submit_ns);
@@ -183,14 +207,16 @@ ChunkWriter::pollCompleted()
 }
 
 Status
-ChunkWriter::submitCurrent()
+ChunkWriter::submitCurrent(bool last)
 {
     if (cur_vs_ == nullptr)
         return Status::ok();
     InFlight f;
     f.vs = cur_vs_;
     f.chunk = cur_chunk_;
+    f.base = cur_base_;
     f.used = cur_used_;
+    f.last = last;
     f.buf = std::move(cur_buf_);
     f.ticket = std::make_unique<WriteTicket>();
     f.first_record = cur_first_record_;
@@ -200,14 +226,11 @@ ChunkWriter::submitCurrent()
     const Status st = submitTicketed(f);
     if (!st.isOk())
         return st;
-    f.vs->sealChunk(f.chunk, f.used);
-    written_.emplace_back(f.vs, f.chunk);
     submitted_records_ += f.record_count;
     reg_inflight_->add(1);
     inflight_.push_back(std::move(f));
     cur_vs_ = nullptr;
     cur_chunk_ = -1;
-    cur_used_ = 0;
 
     // Pipeline discipline: reap whatever already completed, then bound
     // the outstanding window by blocking on the oldest write.
@@ -225,21 +248,15 @@ ChunkWriter::finish()
     if (finished_)
         return Status::ok();
     finished_ = true;
-    if (cur_vs_ != nullptr && cur_used_ > 0) {
-        // finished_ guard above lets submitCurrent run normally.
-        finished_ = false;
-        const Status st = submitCurrent();
-        finished_ = true;
-        if (!st.isOk())
-            return st;
-    } else if (cur_vs_ != nullptr) {
-        // Open but empty chunk: just recycle it.
-        cur_vs_->sealChunk(cur_chunk_, 0);
-        cur_vs_->freeChunkDeferred(cur_chunk_);
-        cur_vs_ = nullptr;
-    }
+    // An open chunk always holds at least the record add() opened it for.
+    const Status st = submitCurrent(/*last=*/true);
+    if (!st.isOk())
+        return st;
     while (!inflight_.empty())
         reapFront(/*block=*/true);
+    // The callbacks have published every landed record.
+    if (callback_)
+        parkPending();
     return Status::ok();
 }
 
@@ -249,18 +266,34 @@ ChunkWriter::finishFullChunksOnly()
     if (finished_)
         return submitted_records_;
     finished_ = true;
-    if (cur_vs_ != nullptr) {
-        // Discard the partial tail unwritten; nothing references its
-        // chunk, so it goes straight back through the free list.
-        cur_vs_->sealChunk(cur_chunk_, 0);
-        cur_vs_->freeChunkDeferred(cur_chunk_);
-        cur_vs_ = nullptr;
-        cur_chunk_ = -1;
-        cur_used_ = 0;
-    }
+    if (cur_vs_ != nullptr)
+        discardCurrent();
     while (!inflight_.empty())
         reapFront(/*block=*/true);
     return submitted_records_;
+}
+
+void
+ChunkWriter::discardCurrent()
+{
+    // Nothing references the records appended since base, so a fresh
+    // chunk goes straight back through the free list and a continued
+    // tail goes back with its old fill.
+    if (cur_base_ > 0)
+        cur_vs_->parkTail(cur_chunk_, cur_base_);
+    else
+        cur_vs_->freeChunkDeferred(cur_chunk_);
+    cur_vs_ = nullptr;
+    cur_chunk_ = -1;
+}
+
+void
+ChunkWriter::parkPending()
+{
+    if (pending_tail_.vs == nullptr)
+        return;
+    pending_tail_.vs->parkTail(pending_tail_.chunk, pending_tail_.used);
+    pending_tail_ = Tail{};
 }
 
 Status
@@ -272,8 +305,8 @@ ChunkWriter::submitTicketed(InFlight &f)
         f.ticket->waiter.signal(ReadWaiter::kIoError);
         return Status::ok();
     }
-    return f.vs->submitChunkWrite(f.chunk, f.buf.get(), f.used,
-                                  f.ticket.get());
+    return f.vs->submitChunkWrite(f.chunk, f.base, f.buf.get() + f.base,
+                                  f.used - f.base, f.ticket.get());
 }
 
 bool
@@ -298,8 +331,12 @@ ChunkWriter::firstFailedRecord() const
 void
 ChunkWriter::settleAll()
 {
+    if (settled_)
+        return;
+    settled_ = true;
     for (auto &[vs, chunk] : written_)
         vs->settleChunk(chunk);
+    parkPending();
 }
 
 }  // namespace prism::core

@@ -151,9 +151,9 @@ struct PrismOptions {
      * relocate full chunks only and leave the straggler records in the
      * ring for a later pass (they are durable there, and most become
      * stale and free to drop — §4.3's dedup). This keeps a hot-update
-     * workload from sealing a nearly-empty chunk per pass, which would
-     * inflate SSD write amplification and exhaust chunks when GC is
-     * throttled. flushAll() always forces full submission.
+     * workload from writing values to SSD that are superseded moments
+     * later, which would inflate SSD write amplification. flushAll()
+     * always forces full submission.
      */
     double pwb_reclaim_force_utilization = 0.90;
     ///@}

@@ -961,8 +961,9 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
 
     // Near-full rings (a stalled put dispatches at ~100% utilization)
     // must reclaim everything they can; under lighter pressure a pass
-    // may leave a partial chunk's worth of records behind rather than
-    // seal a nearly-empty chunk (see pwb_reclaim_force_utilization).
+    // may leave a partial chunk's worth of records in the ring, where
+    // most go stale before a later pass (see
+    // pwb_reclaim_force_utilization).
     force = force ||
             pwb->utilization() >= opts_.pwb_reclaim_force_utilization;
 

@@ -31,6 +31,8 @@ ValueStorage::ValueStorage(uint32_t ssd_id,
     reg_gc_pass_ns_ = &reg.histogram("prism.vs.gc_pass_ns", "ns");
     reg_retries_ = &reg.counter("prism.vs.retries", "ops");
     reg_degraded_ = &reg.counter("prism.vs.degraded", "ops");
+    reg_sealed_chunks_ = &reg.counter("prism.vs.sealed_chunks", "chunks");
+    reg_sealed_bytes_ = &reg.counter("prism.vs.sealed_bytes", "bytes");
     const size_t words = (unitsPerChunk() + 63) / 64;
     for (size_t i = 0; i < metas_.size(); i++) {
         metas_[i].bitmap.reset(new std::atomic<uint64_t>[words]);
@@ -101,9 +103,22 @@ ValueStorage::freeChunks() const
 }
 
 int64_t
-ValueStorage::allocChunk()
+ValueStorage::openChunk(uint32_t need, uint32_t *base)
 {
     std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
+    if (tail_chunk_ >= 0) {
+        const int64_t tail = tail_chunk_;
+        tail_chunk_ = -1;
+        if (tail_used_ + need <= chunk_bytes_) {
+            *base = tail_used_;
+            return tail;
+        }
+        // Too full for this record: its records are all published, so
+        // it can be sealed and handed to GC right away.
+        sealChunk(tail, tail_used_);
+        settleChunk(tail);
+    }
+    *base = 0;
     if (free_chunks_.empty())
         return -1;
     const int64_t chunk = free_chunks_.back();
@@ -114,14 +129,37 @@ ValueStorage::allocChunk()
     return chunk;
 }
 
-Status
-ValueStorage::submitChunkWrite(int64_t chunk, const uint8_t *buf,
-                               uint32_t len, WriteTicket *ticket)
+void
+ValueStorage::parkTail(int64_t chunk, uint32_t used_bytes)
 {
-    PRISM_DCHECK(len <= chunk_bytes_);
+    {
+        std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
+        if (tail_chunk_ < 0 && used_bytes < chunk_bytes_) {
+            tail_chunk_ = chunk;
+            tail_used_ = used_bytes;
+            return;
+        }
+    }
+    sealChunk(chunk, used_bytes);
+    settleChunk(chunk);
+}
+
+int64_t
+ValueStorage::tailChunk() const
+{
+    std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
+    return tail_chunk_;
+}
+
+Status
+ValueStorage::submitChunkWrite(int64_t chunk, uint32_t offset,
+                               const uint8_t *buf, uint32_t len,
+                               WriteTicket *ticket)
+{
+    PRISM_DCHECK(offset + len <= chunk_bytes_);
     io::IoRequest req;
     req.op = io::IoRequest::Op::kWrite;
-    req.offset = static_cast<uint64_t>(chunk) * chunk_bytes_;
+    req.offset = static_cast<uint64_t>(chunk) * chunk_bytes_ + offset;
     req.length = len;
     req.src = buf;
     // Bit 0 tags the waiter as a chunk-write ticket (pointers are
@@ -138,6 +176,8 @@ ValueStorage::sealChunk(int64_t chunk, uint32_t used_bytes)
     m.settled.store(false, std::memory_order_release);
     m.state.store(static_cast<uint32_t>(ChunkState::kSealed),
                   std::memory_order_release);
+    reg_sealed_chunks_->inc();
+    reg_sealed_bytes_->add(used_bytes);
 }
 
 void
@@ -248,8 +288,7 @@ ValueStorage::needsGc() const
 {
     size_t free_count = 0;
     {
-        auto *self = const_cast<ValueStorage *>(this);
-        std::lock_guard<prof::TimedTicketLock> lock(self->free_mu_);
+        std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
         free_count = free_chunks_.size();
     }
     return static_cast<double>(metas_.size() - free_count) >
@@ -442,6 +481,8 @@ ValueStorage::resetForRecovery()
     }
     std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
     free_chunks_.clear();
+    tail_chunk_ = -1;
+    tail_used_ = 0;
 }
 
 void

@@ -5,10 +5,16 @@
  *
  * The device space is divided into fixed 512 KB chunks. Reclaimed PWB
  * values and GC survivors are packed into chunk-sized buffers and
- * written with single large sequential I/Os — the SSD-friendly pattern
- * the paper takes from SFS/log-structured stores. Each value carries its
+ * written with large sequential I/Os — the SSD-friendly pattern the
+ * paper takes from SFS/log-structured stores. Each value carries its
  * per-value metadata (backward pointer + size) so crash recovery and GC
  * never need the key index.
+ *
+ * Chunks are sealed only when full. A writer that stops mid-chunk parks
+ * it as this Value Storage's single open *tail*; the next writer that
+ * targets this Value Storage continues the tail at its fill offset,
+ * appending with a write that never overlaps published bytes. The tail
+ * stays OPEN, so GC never picks it as a victim.
  *
  * A DRAM validity bitmap (one bit per 64-byte unit; a record's first
  * unit carries its liveness) answers "is this value garbage?" in O(1).
@@ -92,18 +98,37 @@ class ValueStorage {
     /** @name Chunk lifecycle */
     ///@{
     /**
-     * Allocate a free chunk (FREE -> OPEN). This is the only critical
+     * Open a chunk for a writer whose next record needs @p need bytes.
+     * Continues the parked tail when the record fits behind its fill;
+     * a tail too full for it is sealed and settled, and a free chunk is
+     * allocated instead (FREE -> OPEN). This is the only critical
      * section of the write path (§5.2); after it, writers proceed
-     * independently on their private chunks.
+     * independently, since taking the tail empties its slot.
+     * @param[out] base fill offset to append at (0 for a fresh chunk).
      * @return chunk index, or -1 when no chunk is free (run GC).
      */
-    int64_t allocChunk();
+    int64_t openChunk(uint32_t need, uint32_t *base);
 
-    /** Submit an asynchronous write of @p len bytes into @p chunk. */
-    Status submitChunkWrite(int64_t chunk, const uint8_t *buf, uint32_t len,
+    /**
+     * Hand a partially filled OPEN chunk back as the tail once every
+     * record in [0, @p used_bytes) is durable and published. When the
+     * slot is already taken, or the chunk is full, seal and settle it
+     * instead.
+     */
+    void parkTail(int64_t chunk, uint32_t used_bytes);
+
+    /** The parked tail chunk, or -1 (diagnostics and tests). */
+    int64_t tailChunk() const;
+
+    /**
+     * Submit an asynchronous write of @p len bytes at @p offset inside
+     * @p chunk.
+     */
+    Status submitChunkWrite(int64_t chunk, uint32_t offset,
+                            const uint8_t *buf, uint32_t len,
                             WriteTicket *ticket);
 
-    /** OPEN -> SEALED once its write has been submitted. */
+    /** OPEN -> SEALED once its records' writes have landed. */
     void sealChunk(int64_t chunk, uint32_t used_bytes);
 
     /**
@@ -141,8 +166,9 @@ class ValueStorage {
 
     /**
      * One greedy GC pass: pick the sealed chunks with the fewest live
-     * units, rewrite their survivors into fresh chunks of this same
-     * Value Storage, re-point the HSIT, recycle the victims.
+     * units, rewrite their survivors into this same Value Storage
+     * (continuing its tail, then fresh chunks), re-point the HSIT,
+     * recycle the victims.
      * @return number of chunks reclaimed.
      */
     size_t runGcPass(Hsit &hsit);
@@ -189,8 +215,10 @@ class ValueStorage {
     EpochManager &epochs_;
 
     std::vector<ChunkMeta> metas_;
-    prof::TimedTicketLock free_mu_{"vs.chunk_alloc"};
+    mutable prof::TimedTicketLock free_mu_{"vs.chunk_alloc"};
     std::vector<int64_t> free_chunks_;
+    int64_t tail_chunk_ = -1;  ///< parked open tail; guarded by free_mu_
+    uint32_t tail_used_ = 0;   ///< its fill; guarded by free_mu_
     std::mutex gc_mu_;  ///< serializes GC passes on this Value Storage
 
     std::unique_ptr<ReadBatcher> reader_;
@@ -206,6 +234,8 @@ class ValueStorage {
     stats::LatencyStat *reg_gc_pass_ns_;
     stats::Counter *reg_retries_;   ///< victim reads / survivor rewrites
     stats::Counter *reg_degraded_;  ///< passes skipped on a sick device
+    stats::Counter *reg_sealed_chunks_;
+    stats::Counter *reg_sealed_bytes_;  ///< fill of chunks at seal time
 };
 
 }  // namespace prism::core

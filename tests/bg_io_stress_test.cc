@@ -10,6 +10,9 @@
  *  - Crash injection: crash images are captured while parallel
  *    reclamation is mid-flight (pmem tracking mode); recovery must see
  *    every acked value exactly once, never a torn or duplicated one.
+ *  - Chunk packing: reclaim-like and reorg-like chunk writers take
+ *    turns on the Value Storages' parked tail chunks while GC passes
+ *    relocate survivors into the same tails.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 
 #include "common/rand.h"
 #include "common/stats.h"
+#include "core/chunk_writer.h"
 #include "core/prism_db.h"
 #include "sim/device_profile.h"
 
@@ -151,6 +155,188 @@ TEST(BgIoStressTest, ParallelReclaimAndGcNeverLoseValues)
     EXPECT_GT(after.counterDelta(before, "prism.bg.tasks"), 0u);
     EXPECT_GT(after.counterDelta(before, "prism.vs.gc_passes"), 0u);
     EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaim_passes"), 0u);
+}
+
+TEST(BgIoStressTest, ConcurrentChunkWritersShareTailsWithGc)
+{
+    // Pipelined (reclaim-like) and barrier (reorg-like) chunk writers
+    // over two Value Storages race each other for the parked tails,
+    // while a GC thread relocates survivors into the same tails. Small
+    // chunks make tails fill, seal and change hands constantly. Each
+    // writer owns its keys and republishes them with rising versions;
+    // at the end every key must read back its last published version,
+    // and the validity bitmaps must count exactly the live copies.
+    PrismOptions opts;
+    opts.chunk_bytes = 16 * 1024;
+    EpochManager epochs;
+    auto nvm = std::make_shared<sim::NvmDevice>(
+        16ull << 20, sim::kOptaneDcpmmProfile, /*timing=*/false);
+    pmem::PmemRegion region(nvm, /*format=*/true);
+    pmem::PmemAllocator alloc(region);
+    auto hsit = Hsit::create(region, alloc, 4096);
+    std::vector<std::unique_ptr<ValueStorage>> vss;
+    std::vector<ValueStorage *> targets;
+    for (uint32_t i = 0; i < 2; i++) {
+        vss.push_back(std::make_unique<ValueStorage>(
+            i,
+            std::make_shared<sim::SsdDevice>(
+                4ull << 20, sim::kSamsung980ProProfile, /*timing=*/false),
+            opts, epochs));
+        targets.push_back(vss.back().get());
+    }
+
+    constexpr int kWriters = 4;  // even: pipelined, odd: barrier
+    constexpr uint64_t kKeysPerWriter = 64;
+    constexpr int kBatches = 1000;
+    std::vector<std::vector<uint64_t>> handle(kWriters);
+    std::vector<std::vector<uint64_t>> published(kWriters);
+    for (int w = 0; w < kWriters; w++) {
+        for (uint64_t k = 0; k < kKeysPerWriter; k++)
+            handle[w].push_back(hsit->allocEntry());
+        published[w].assign(kKeysPerWriter, 0);
+    }
+    auto payload = [](uint64_t h, uint64_t version) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "h%llu.v%llu.",
+                      static_cast<unsigned long long>(h),
+                      static_cast<unsigned long long>(version));
+        std::string v(buf);
+        v.resize(150 + (h % 5) * 100, '#');  // 256..704-byte records
+        return v;
+    };
+    // Point h at its new copy, racing GC relocations of the old one;
+    // the winner of each CAS clears the copy it superseded.
+    auto publish = [&](uint64_t h, ValueAddr addr) {
+        for (;;) {
+            const ValueAddr old = hsit->loadPrimary(h);
+            if (hsit->casPrimaryDurable(h, old, addr)) {
+                if (old.isVs())
+                    vss[old.ssdId()]->clearValid(old.offset(),
+                                                 old.recordBytes());
+                return;
+            }
+        }
+    };
+
+    const auto before = stats::StatsRegistry::global().snapshot();
+    std::atomic<int> running{kWriters};
+    std::thread gc([&] {
+        while (running.load(std::memory_order_acquire) > 0) {
+            for (auto &vs : vss)
+                vs->runGcPass(*hsit);
+            epochs.tryAdvance();
+            std::this_thread::yield();
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; w++) {
+        writers.emplace_back([&, w] {
+            Xorshift rng(static_cast<uint64_t>(w) + 1);
+            const bool pipelined = w % 2 == 0;
+            for (int b = 0; b < kBatches; b++) {
+                // A run of distinct keys, like a scan chain or a ring
+                // segment.
+                const uint64_t n = 1 + rng.nextUniform(kKeysPerWriter);
+                const uint64_t first = rng.nextUniform(kKeysPerWriter);
+                std::vector<uint64_t> keys;
+                std::vector<std::string> values;
+                for (uint64_t i = 0; i < n; i++) {
+                    const uint64_t k = (first + i) % kKeysPerWriter;
+                    keys.push_back(k);
+                    values.push_back(
+                        payload(handle[w][k], published[w][k] + 1));
+                }
+                ChunkWriter writer(targets, /*seed=*/42,
+                                   pipelined ? 2 : 0);
+                std::vector<ValueAddr> placed;
+                if (pipelined) {
+                    writer.setChunkCallback(
+                        [&](ValueStorage *vs, int64_t chunk, size_t from,
+                            size_t count) {
+                            for (size_t i = from; i < from + count; i++)
+                                vs->setValid(placed[i].offset(),
+                                             placed[i].recordBytes());
+                            vs->settleChunk(chunk);
+                            for (size_t i = from; i < from + count; i++) {
+                                publish(handle[w][keys[i]], placed[i]);
+                                published[w][keys[i]]++;
+                            }
+                        });
+                }
+                for (uint64_t i = 0; i < n; i++) {
+                    const uint64_t h = handle[w][keys[i]];
+                    ValueAddr a;
+                    for (int tries = 0; a.isNull() && tries < 100000;
+                         tries++) {
+                        a = writer.add(h, keys[i], values[i].data(),
+                                       static_cast<uint32_t>(
+                                           values[i].size()));
+                        if (a.isNull())
+                            std::this_thread::yield();  // GC frees
+                    }
+                    ASSERT_FALSE(a.isNull()) << "Value Storage full";
+                    placed.push_back(a);
+                }
+                if (pipelined) {
+                    // Thrifty passes leave their partial last chunk
+                    // unpublished, as the PWB reclaimer does.
+                    if (rng.nextUniform(2) == 0)
+                        writer.finishFullChunksOnly();
+                    else
+                        ASSERT_TRUE(writer.finish().isOk());
+                    continue;
+                }
+                ASSERT_TRUE(writer.finish().isOk());
+                for (const ValueAddr &a : placed)
+                    vss[a.ssdId()]->setValid(a.offset(), a.recordBytes());
+                writer.settleAll();
+                for (uint64_t i = 0; i < n; i++) {
+                    publish(handle[w][keys[i]], placed[i]);
+                    published[w][keys[i]]++;
+                }
+            }
+            running.fetch_sub(1, std::memory_order_acq_rel);
+        });
+    }
+    for (auto &t : writers)
+        t.join();
+    gc.join();
+    epochs.drain();
+
+    uint64_t live_units = 0;
+    std::vector<uint8_t> buf;
+    for (int w = 0; w < kWriters; w++) {
+        for (uint64_t k = 0; k < kKeysPerWriter; k++) {
+            const uint64_t h = handle[w][k];
+            if (published[w][k] == 0) {
+                EXPECT_TRUE(hsit->loadPrimary(h).isNull());
+                continue;
+            }
+            const ValueAddr a = hsit->loadPrimary(h);
+            ASSERT_TRUE(a.isVs()) << "writer " << w << " key " << k;
+            ASSERT_TRUE(vss[a.ssdId()]->isValid(a.offset()));
+            ASSERT_TRUE(vss[a.ssdId()]->readRecord(a, buf).isOk());
+            const auto *hdr =
+                reinterpret_cast<const ValueRecordHeader *>(buf.data());
+            ASSERT_TRUE(recordCrcOk(*hdr, hdr + 1));
+            ASSERT_EQ(hdr->backward, h);
+            const std::string want = payload(h, published[w][k]);
+            ASSERT_EQ(std::string(reinterpret_cast<const char *>(hdr + 1),
+                                  hdr->value_size),
+                      want)
+                << "writer " << w << " key " << k;
+            live_units += a.recordBytes() / ValueAddr::kSizeUnit;
+        }
+    }
+    uint64_t counted = 0;
+    for (auto &vs : vss) {
+        for (size_t c = 0; c < vs->totalChunks(); c++)
+            counted += vs->liveUnits(static_cast<int64_t>(c));
+    }
+    EXPECT_EQ(counted, live_units);
+    const auto after = stats::StatsRegistry::global().snapshot();
+    EXPECT_GT(after.counterDelta(before, "prism.vs.gc_passes"), 0u);
+    EXPECT_GT(after.counterDelta(before, "prism.vs.sealed_chunks"), 0u);
 }
 
 TEST(BgIoStressTest, CrashMidParallelReclaimRecoversExactlyOnce)

@@ -7,8 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
+#include "common/fault.h"
 #include "common/rand.h"
 #include "core/chunk_writer.h"
 #include "core/hsit.h"
@@ -366,13 +368,15 @@ TEST(ValueStorageTest, ChunkLifecycle)
 {
     VsFixture fx;
     EXPECT_EQ(fx.vs->totalChunks(), (8 << 20) / (64 * 1024));
-    const int64_t c = fx.vs->allocChunk();
+    uint32_t base = 1;
+    const int64_t c = fx.vs->openChunk(64 * 1024, &base);
     ASSERT_GE(c, 0);
+    EXPECT_EQ(base, 0u);
     EXPECT_EQ(fx.vs->freeChunks(), fx.vs->totalChunks() - 1);
 
     std::vector<uint8_t> buf(64 * 1024, 0xAA);
     WriteTicket ticket;
-    ASSERT_TRUE(fx.vs->submitChunkWrite(c, buf.data(), 64 * 1024,
+    ASSERT_TRUE(fx.vs->submitChunkWrite(c, 0, buf.data(), 64 * 1024,
                                         &ticket)
                     .isOk());
     ticket.wait();
@@ -387,7 +391,8 @@ TEST(ValueStorageTest, ChunkLifecycle)
 TEST(ValueStorageTest, DoubleFreeIsIgnored)
 {
     VsFixture fx;
-    const int64_t c = fx.vs->allocChunk();
+    uint32_t base = 0;
+    const int64_t c = fx.vs->openChunk(64 * 1024, &base);
     fx.vs->sealChunk(c, 0);
     fx.vs->freeChunkDeferred(c);
     fx.vs->freeChunkDeferred(c);  // must be a no-op
@@ -439,19 +444,190 @@ TEST(ChunkWriterTest, PacksRecordsAndReadsBack)
     }
 }
 
+uint64_t
+counterValue(const char *name)
+{
+    return stats::StatsRegistry::global().counter(name).value();
+}
+
+/** Append @p n records through one writer, publish them, settle. */
+std::vector<ValueAddr>
+writePublished(VsFixture &fx, int n, uint32_t size, uint64_t first_h)
+{
+    ChunkWriter writer({fx.vs.get()});
+    const std::string value(size, 'p');
+    std::vector<ValueAddr> addrs;
+    for (int i = 0; i < n; i++) {
+        const uint64_t h = first_h + static_cast<uint64_t>(i);
+        addrs.push_back(writer.add(h, h * 10, value.data(), size));
+        EXPECT_FALSE(addrs.back().isNull());
+    }
+    EXPECT_TRUE(writer.finish().isOk());
+    for (const ValueAddr &a : addrs)
+        fx.vs->setValid(a.offset(), a.recordBytes());
+    writer.settleAll();
+    return addrs;
+}
+
+/** Read @p a back and check it is record @p h. */
+void
+expectRecord(VsFixture &fx, ValueAddr a, uint64_t h)
+{
+    std::vector<uint8_t> buf;
+    ASSERT_TRUE(fx.vs->readRecord(a, buf).isOk());
+    const auto *hdr = reinterpret_cast<const ValueRecordHeader *>(buf.data());
+    EXPECT_EQ(hdr->backward, h);
+    EXPECT_EQ(hdr->key, h * 10);
+    EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
+}
+
+int64_t
+chunkOf(ValueAddr a)
+{
+    return static_cast<int64_t>(a.offset() / (64 * 1024));
+}
+
+TEST(ChunkWriterTest, SuccessiveWritersShareOneChunk)
+{
+    VsFixture fx;
+    const size_t free_before = fx.vs->freeChunks();
+    std::vector<ValueAddr> addrs = writePublished(fx, 3, 1000, 0);
+    EXPECT_EQ(fx.vs->tailChunk(), chunkOf(addrs[0]));
+    const std::vector<ValueAddr> more = writePublished(fx, 3, 1000, 3);
+    addrs.insert(addrs.end(), more.begin(), more.end());
+
+    // One chunk holds both writers' records back to back, and it is
+    // still the parked tail.
+    EXPECT_EQ(fx.vs->freeChunks(), free_before - 1);
+    EXPECT_EQ(fx.vs->tailChunk(), chunkOf(addrs[0]));
+    for (size_t i = 1; i < addrs.size(); i++) {
+        EXPECT_EQ(addrs[i].offset(),
+                  addrs[i - 1].offset() + addrs[i - 1].recordBytes());
+    }
+    for (size_t i = 0; i < addrs.size(); i++)
+        expectRecord(fx, addrs[i], i);
+}
+
+TEST(ChunkWriterTest, RecordTooBigForTheTailSealsIt)
+{
+    VsFixture fx;
+    // 21 records of 3072 bytes leave 1024 bytes behind the tail's fill.
+    const std::vector<ValueAddr> first = writePublished(fx, 21, 3000, 0);
+    const int64_t tail = fx.vs->tailChunk();
+    ASSERT_EQ(tail, chunkOf(first[0]));
+    const uint64_t chunks0 = counterValue("prism.vs.sealed_chunks");
+    const uint64_t bytes0 = counterValue("prism.vs.sealed_bytes");
+
+    const std::vector<ValueAddr> next = writePublished(fx, 1, 3000, 21);
+    EXPECT_NE(chunkOf(next[0]), tail);
+    EXPECT_EQ(next[0].offset() % (64 * 1024), 0u);
+    EXPECT_EQ(counterValue("prism.vs.sealed_chunks") - chunks0, 1u);
+    EXPECT_EQ(counterValue("prism.vs.sealed_bytes") - bytes0,
+              21u * 3072u);
+    EXPECT_EQ(fx.vs->tailChunk(), chunkOf(next[0]));
+    for (size_t i = 0; i < first.size(); i++)
+        expectRecord(fx, first[i], i);
+    expectRecord(fx, next[0], 21);
+}
+
+TEST(ChunkWriterTest, FailedAppendKeepsTheEarlierWritersRecords)
+{
+    VsFixture fx;
+    struct Disarm {
+        ~Disarm() { fault::FaultRegistry::global().disarmAll(); }
+    } disarm;
+    const std::vector<ValueAddr> first = writePublished(fx, 3, 1000, 0);
+    const int64_t tail = fx.vs->tailChunk();
+    const size_t free_before = fx.vs->freeChunks();
+
+    // A transient failure: the retry lands the append in place.
+    fault::FaultSpec once;
+    once.trigger = fault::Trigger::kOnce;
+    fault::FaultRegistry::global().arm("pwb.chunk_write", once);
+    const uint64_t retries0 = counterValue("prism.pwb.retries");
+    const std::vector<ValueAddr> second = writePublished(fx, 2, 1000, 3);
+    EXPECT_GT(counterValue("prism.pwb.retries"), retries0);
+    EXPECT_EQ(second[0].offset(),
+              first.back().offset() + first.back().recordBytes());
+    EXPECT_EQ(fx.vs->tailChunk(), tail);
+
+    // A permanent failure: the append is reported failed, the chunk is
+    // closed behind the published records instead of recycled.
+    fault::FaultSpec always;
+    always.trigger = fault::Trigger::kProbability;
+    always.probability = 1.0;
+    fault::FaultRegistry::global().arm("pwb.chunk_write", always);
+    {
+        ChunkWriter writer({fx.vs.get()});
+        const std::string value(1000, 'f');
+        const ValueAddr a = writer.add(5, 50, value.data(), 1000);
+        EXPECT_EQ(chunkOf(a), tail);
+        ASSERT_TRUE(writer.finish().isOk());
+        EXPECT_TRUE(writer.recordFailed(0));
+    }
+    fault::FaultRegistry::global().disarmAll();
+    fx.epochs.drain();
+    EXPECT_EQ(fx.vs->freeChunks(), free_before);
+    EXPECT_EQ(fx.vs->tailChunk(), -1);
+    for (size_t i = 0; i < first.size(); i++) {
+        EXPECT_TRUE(fx.vs->isValid(first[i].offset()));
+        expectRecord(fx, first[i], i);
+    }
+    for (size_t i = 0; i < second.size(); i++)
+        expectRecord(fx, second[i], 3 + i);
+
+    // The next writer starts a fresh chunk.
+    const std::vector<ValueAddr> after = writePublished(fx, 1, 1000, 6);
+    EXPECT_NE(chunkOf(after[0]), tail);
+    expectRecord(fx, after[0], 6);
+}
+
+TEST(ChunkWriterTest, SuccessiveWritersSpreadOverIdleTargets)
+{
+    // Writers built with the same seed must still not all start on the
+    // same idle Value Storage.
+    PrismOptions opts;
+    opts.chunk_bytes = 64 * 1024;
+    EpochManager epochs;
+    std::vector<std::unique_ptr<ValueStorage>> owned;
+    std::vector<ValueStorage *> targets;
+    for (uint32_t i = 0; i < 4; i++) {
+        owned.push_back(std::make_unique<ValueStorage>(
+            i,
+            std::make_shared<sim::SsdDevice>(
+                8 << 20, sim::kSamsung980ProProfile, /*timing=*/false),
+            opts, epochs));
+        targets.push_back(owned.back().get());
+    }
+    std::set<uint32_t> used;
+    const std::string value(100, 's');
+    for (int w = 0; w < 64; w++) {
+        ChunkWriter writer(targets);
+        const ValueAddr a = writer.add(static_cast<uint64_t>(w), 0,
+                                       value.data(), 100);
+        ASSERT_FALSE(a.isNull());
+        ASSERT_TRUE(writer.finish().isOk());
+        writer.settleAll();
+        used.insert(a.ssdId());
+    }
+    EXPECT_GE(used.size(), 3u);
+}
+
 TEST(ValueStorageTest, GcRelocatesLiveValues)
 {
     VsFixture fx;
-    // Write two chunks of values; register them in the HSIT; kill most
-    // of them; GC must compact the survivors and free victims.
+    // Write two full chunks of values plus a partial third, which is
+    // parked as the open tail; register them in the HSIT; kill most of
+    // them; GC must compact the survivors (into the tail first) and
+    // free victims.
     ChunkWriter writer({fx.vs.get()});
-    std::string value(3000, 'g');
+    std::string value(3000, 'g');  // 3072-byte records, 21 per chunk
     struct Item {
         uint64_t h;
         ValueAddr addr;
     };
     std::vector<Item> items;
-    for (int i = 0; i < 40; i++) {
+    for (int i = 0; i < 60; i++) {
         const uint64_t h = fx.hsit->allocEntry();
         const ValueAddr a = writer.add(h, static_cast<uint64_t>(i),
                                        value.data(), 3000);
@@ -473,11 +649,17 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
                           items[i].addr.recordBytes());
         fx.hsit->storePrimaryDurable(items[i].h, ValueAddr());
     }
+    const ValueAddr last = items.back().addr;
+    ASSERT_EQ(fx.vs->tailChunk(),
+              static_cast<int64_t>(last.offset() / (64 * 1024)));
     const size_t free_before = fx.vs->freeChunks();
     const size_t reclaimed = fx.vs->runGcPass(*fx.hsit);
     fx.epochs.drain();
-    EXPECT_GT(reclaimed, 0u);
+    EXPECT_EQ(reclaimed, 2u);
     EXPECT_GT(fx.vs->freeChunks(), free_before);
+    // The first survivor continued the tail right behind its fill.
+    EXPECT_EQ(fx.hsit->loadPrimary(items[0].h).offset(),
+              last.offset() + last.recordBytes());
 
     // Survivors must still be readable via their *new* HSIT pointers.
     std::vector<uint8_t> buf;
@@ -522,11 +704,17 @@ TEST(ValueStorageTest, GcWithNoFreeChunkLeavesSurvivorsInPlace)
         fx.hsit->storePrimaryDurable(items[i].h, ValueAddr());
     }
 
-    // Every free chunk is taken: the pass cannot place any survivor, so
-    // it must leave them (and their victims) alone rather than abort.
+    // Every free chunk is taken and the parked tail is sealed (a record
+    // as big as a chunk never fits behind its fill): the pass cannot
+    // place any survivor, so it must leave them (and their victims)
+    // alone rather than abort.
+    ASSERT_GE(fx.vs->tailChunk(), 0);
     std::vector<int64_t> held;
-    for (int64_t c = fx.vs->allocChunk(); c >= 0; c = fx.vs->allocChunk())
+    uint32_t base = 0;
+    for (int64_t c = fx.vs->openChunk(64 * 1024, &base); c >= 0;
+         c = fx.vs->openChunk(64 * 1024, &base))
         held.push_back(c);
+    EXPECT_EQ(fx.vs->tailChunk(), -1);
     EXPECT_EQ(fx.vs->runGcPass(*fx.hsit), 0u);
     std::vector<uint8_t> buf;
     for (size_t i = 0; i < items.size(); i += 8) {

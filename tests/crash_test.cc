@@ -322,6 +322,68 @@ TEST(CrashTest, CrashAroundGcIsSafe)
     }
 }
 
+TEST(CrashTest, CrashWithParkedTailKeepsAckedValues)
+{
+    // A forced reclaim parks its last partial chunk as the Value
+    // Storage's open tail instead of sealing it, and later passes append
+    // behind it. Crash with a tail parked (and appended to): recovery
+    // must keep every acked value and seal the tail at its last
+    // reachable record, so the recovered store's own writes never land
+    // on top of it.
+    PrismOptions opts = crashOptions();
+    CrashRig rig(opts, 1);
+    constexpr uint64_t kKeys = 1500;
+    std::map<uint64_t, uint64_t> expected;
+    auto put = [&](uint64_t k, uint64_t version) {
+        ASSERT_TRUE(rig.db->put(k, versionedValue(k, version)).isOk());
+        expected[k] = version;
+    };
+    for (uint64_t round = 1; round <= 3; round++) {
+        for (uint64_t k = 0; k < kKeys; k += round)
+            put(k, round);
+        rig.db->flushAll();
+    }
+    // A pass that happens to end on a chunk boundary seals it; top up
+    // until a tail is parked.
+    for (uint64_t k = 0; rig.db->valueStorage(0).tailChunk() < 0 && k < 8;
+         k++) {
+        put(k, 3);
+        rig.db->flushAll();
+    }
+    ASSERT_GE(rig.db->valueStorage(0).tailChunk(), 0);
+    // Acked, but only in the PWB at the crash.
+    for (uint64_t k = 0; k < kKeys; k += 7)
+        put(k, 4);
+
+    std::vector<uint8_t> nvm_img;
+    std::vector<std::vector<uint8_t>> ssd_imgs;
+    rig.captureCrashImage(nvm_img, ssd_imgs);
+    auto recovered = rig.recoverFromImage(nvm_img, ssd_imgs);
+    EXPECT_EQ(recovered->valueStorage(0).tailChunk(), -1);
+    auto check = [&](PrismDb &db, const char *when) {
+        ASSERT_EQ(db.size(), expected.size()) << when;
+        std::string v;
+        for (const auto &[k, ver] : expected) {
+            ASSERT_TRUE(db.get(k, &v).isOk()) << when << " key " << k;
+            ASSERT_EQ(parseVersion(k, v), static_cast<int64_t>(ver))
+                << when << " key " << k;
+        }
+    };
+    check(*recovered, "after recovery");
+
+    // Keep writing on the recovered store, through reclaim and GC.
+    for (uint64_t round = 5; round <= 6; round++) {
+        for (uint64_t k = 0; k < kKeys; k += 2) {
+            ASSERT_TRUE(
+                recovered->put(k, versionedValue(k, round)).isOk());
+            expected[k] = round;
+        }
+        recovered->flushAll();
+        recovered->forceGc();
+    }
+    check(*recovered, "after more writes");
+}
+
 TEST(CrashTest, RecoveryIsIdempotent)
 {
     CrashRig rig(crashOptions(), 1);
