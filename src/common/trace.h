@@ -94,8 +94,8 @@ struct Event {
     /**
      * 0 = the emitting thread's own track. Non-zero places the event on
      * a synthetic track (e.g. per-SSD-channel service timelines whose
-     * events are emitted by a device worker thread but belong on the
-     * channel's own row).
+     * events are emitted by whichever thread reaps the device but belong
+     * on the channel's own row).
      */
     uint16_t track = 0;
     uint32_t arg1_name_id = 0;  ///< 0 = no arg

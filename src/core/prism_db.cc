@@ -645,14 +645,13 @@ PrismDb::onAsyncVsRead(AsyncGetCtx *ctx, const Status &io_st)
 {
     if (!io_st.isOk()) {
         // Transient I/O error (injected fault / device hiccup): reads
-        // are idempotent, so resubmit with the sync path's backoff. The
-        // wait briefly stalls this completion loop; errors are rare
-        // enough that simplicity wins over a timer wheel.
+        // are idempotent, so resubmit at once. No backoff: this is the
+        // thread that reaps the device, and sleeping here would hold
+        // back every other completion that comes due on it.
         if (io_st.code() == StatusCode::kIoError &&
             ctx->io_attempts < kAsyncIoRetries) {
             ctx->io_attempts++;
             reg_.vs_read_retries->inc();
-            delayFor(20'000ull << (ctx->io_attempts - 1));
             const Status sub =
                 value_storages_[ctx->addr.ssdId()]->device().submit(
                     ctx->io);
@@ -1057,9 +1056,16 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
                     // saves the whole batched-SSD-read path. Gated on
                     // headroom so a capacity-bound cache (which would
                     // only thrash its eviction lists) is left alone.
-                    if (svc_->hasHeadroom())
+                    // admit() reads its entry back after publishing it,
+                    // when the SVC manager may already have evicted it;
+                    // the guard defers the free. Reclaim passes run on
+                    // pool workers and flushAll(), never inside a guard
+                    // (guards do not nest).
+                    if (svc_->hasHeadroom()) {
+                        EpochGuard guard(epochs_);
                         svc_->admit(v.h, v.key, placed[i], v.payload,
                                     v.size);
+                    }
                 } else {
                     // Superseded after collection; retract the copy.
                     vs->clearValid(placed[i].offset(),

@@ -5,6 +5,22 @@
 
 namespace prism::core {
 
+namespace {
+
+/**
+ * Wake every reader of a batch that submit() rejected: a rejected batch
+ * produces no completions (IoBackend contract), so its readers would
+ * otherwise wait forever.
+ */
+void
+failBatch(const std::vector<io::IoRequest> &batch)
+{
+    for (const auto &req : batch)
+        ReadBatcher::completeFromUserData(req.user_data, /*ok=*/false);
+}
+
+}  // namespace
+
 ReadBatcher::ReadBatcher(io::IoBackend &device, ReadBatchMode mode,
                          int queue_depth, uint64_t timeout_us)
     : device_(device), mode_(mode), queue_depth_(queue_depth),
@@ -143,8 +159,10 @@ ReadBatcher::leadAndSubmit(Node &self)
     }
 
     Status s = device_.submit({batch.data(), batch.size()});
-    if (!s.isOk())
+    if (!s.isOk()) {
+        failBatch(batch);
         return s;
+    }
     batches_.fetch_add(1, std::memory_order_relaxed);
     requests_.fetch_add(batch.size(), std::memory_order_relaxed);
     reg_batches_->inc();
@@ -200,11 +218,15 @@ ReadBatcher::taLoop()
         ta_pending_.erase(ta_pending_.begin(),
                           ta_pending_.begin() + static_cast<long>(n));
         lock.unlock();
-        device_.submit({batch.data(), batch.size()});
+        // Count before submitting: the completions may wake the readers,
+        // and the readers' caller may read the counters, before submit()
+        // even returns.
         batches_.fetch_add(1, std::memory_order_relaxed);
         requests_.fetch_add(n, std::memory_order_relaxed);
         reg_batches_->inc();
         reg_requests_->add(n);
+        if (!device_.submit({batch.data(), batch.size()}).isOk())
+            failBatch(batch);
         lock.lock();
     }
 }

@@ -66,9 +66,11 @@ ValueStorage::completionLoop()
     std::vector<io::IoCompletion> completions;
     while (!stop_.load(std::memory_order_acquire)) {
         completions.clear();
-        // Completions wake this wait via the device's CQ condvar; the
-        // timeout only bounds shutdown latency, so keep it long enough
-        // that an idle device costs ~100 wakeups/s, not 5000.
+        // This thread is the device's clock: the wait sleeps until the
+        // earliest due completion (a simulated SSD has no thread of its
+        // own) or until a real backend's CQ has one. The timeout only
+        // bounds shutdown latency, so keep it long enough that an idle
+        // device costs ~100 wakeups/s, not 5000.
         if (device_->waitCompletions(completions, 256, 10000) == 0)
             continue;
         for (const auto &c : completions) {

@@ -307,6 +307,11 @@ UringBackend::drainKernelCq(std::vector<IoCompletion> &out)
     size_t reaped = 0;
     bool synced_write = false;
     while (head != cq_tail_->load(std::memory_order_acquire)) {
+        // The kernel carries each OpCtx from submit() to here, an edge
+        // outside the C++ memory model that the thread sanitizer cannot
+        // see. This acquire pairs with the SQ-tail release that
+        // published the ctx's SQE, which puts the edge inside the model.
+        (void)sq_tail_->load(std::memory_order_acquire);
         const struct io_uring_cqe *cqe = &cqes_[head & *cq_mask_];
         const uint64_t ud = cqe->user_data;
         const int32_t res = cqe->res;

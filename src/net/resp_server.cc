@@ -32,6 +32,9 @@ namespace prism::net {
 
 namespace {
 
+/** How long a closing connection may keep sending before it is cut. */
+constexpr uint64_t kLingerNs = 1000ull * 1000 * 1000;
+
 /** Strict decimal uint64 (wire keys, cursors, counts). */
 bool
 parseU64(std::string_view s, uint64_t *out)
@@ -129,6 +132,7 @@ struct Conn {
     size_t sent = 0;
     TenantState *tenant = nullptr;  ///< AUTH-selected namespace
     bool close_after_flush = false; ///< QUIT / protocol error / EOF
+    uint64_t linger_until_ns = 0;   ///< write side shut; draining input
     bool dead = false;
 
     explicit Conn(int f, RespLimits limits) : fd(f), parser(limits) {}
@@ -629,14 +633,27 @@ RespServer::Impl::loop()
                 c->pipeline.size() >=
                     static_cast<size_t>(opts.inflight_cap) ||
                 c->out.size() - c->sent > opts.out_hwm_bytes;
-            if (!c->close_after_flush && !backpressured)
+            if ((!c->close_after_flush && !backpressured) ||
+                c->linger_until_ns != 0)
                 ev |= POLLIN;
             if (c->sent < c->out.size())
                 ev |= POLLOUT;
             pfds.push_back({c->fd, ev, 0});
         }
         const size_t polled = conns.size();
-        if (::poll(pfds.data(), pfds.size(), -1) < 0) {
+        int timeout_ms = -1;
+        for (const auto &c : conns) {
+            if (c->linger_until_ns == 0)
+                continue;
+            const uint64_t now = nowNs();
+            const int ms = c->linger_until_ns > now
+                               ? static_cast<int>(
+                                     (c->linger_until_ns - now) / 1000000 +
+                                     1)
+                               : 0;
+            timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+        }
+        if (::poll(pfds.data(), pfds.size(), timeout_ms) < 0) {
             if (errno == EINTR)
                 continue;
             break;
@@ -675,6 +692,21 @@ RespServer::Impl::loop()
             const short rev = i < polled ? pfds[i + 2].revents : 0;
             if (rev & (POLLERR | POLLNVAL))
                 c.dead = true;
+            if (c.linger_until_ns != 0) {
+                // Lingering close: everything owed is sent and our FIN
+                // is out. Discard input until the peer's EOF (or the
+                // deadline), so close() finds nothing unread and the
+                // kernel does not answer with an RST that could destroy
+                // replies the client has yet to read.
+                char buf[16384];
+                ssize_t r;
+                while ((r = ::recv(c.fd, buf, sizeof(buf), 0)) > 0) {}
+                if (r == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                               errno != EINTR) ||
+                    nowNs() >= c.linger_until_ns)
+                    c.dead = true;
+                continue;
+            }
             bool eof = false;
             if (!c.dead && (rev & (POLLIN | POLLHUP))) {
                 char buf[16384];
@@ -753,8 +785,10 @@ RespServer::Impl::loop()
             if (eof)
                 c.close_after_flush = true;
             if (c.close_after_flush && c.pipeline.empty() &&
-                c.sent >= c.out.size())
-                c.dead = true;
+                c.sent >= c.out.size() && !c.dead) {
+                ::shutdown(c.fd, SHUT_WR);
+                c.linger_until_ns = nowNs() + kLingerNs;
+            }
             // A connection dying with commands in flight must wait for
             // them: Pending futures are only safe to destroy on this
             // thread once their completions have run, and the flush

@@ -1,5 +1,7 @@
 #include "sim/ssd_device.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -38,17 +40,10 @@ SsdDevice::SsdDevice(uint64_t capacity_bytes, const DeviceProfile &profile,
             "ssd" + std::to_string(ins_.dev) + ".ch" +
             std::to_string(c)));
     }
-    worker_ = std::thread([this] { workerLoop(); });
 }
 
 SsdDevice::~SsdDevice()
 {
-    {
-        std::lock_guard<std::mutex> lock(sq_mu_);
-        stop_.store(true, std::memory_order_release);
-    }
-    sq_cv_.notify_all();
-    worker_.join();
     for (auto &p : pages_) {
         uint8_t *ptr = p.load(std::memory_order_relaxed);
         delete[] ptr;
@@ -75,8 +70,8 @@ SsdDevice::pageFor(uint64_t page_index, bool allocate)
 namespace {
 
 /**
- * Page memory is shared between submitters, the completion worker, and
- * the crash-capture path (`snapshotTo`), which deliberately reads pages
+ * Page memory is shared between concurrent submitters and the
+ * crash-capture path (`snapshotTo`), which deliberately reads pages
  * while writes are in flight — exactly how a power cut captures a drive
  * mid-DMA. Torn data is part of the modelled semantics (record CRCs
  * detect it); copying through relaxed atomics keeps that tearing from
@@ -125,6 +120,20 @@ atomicLoadBytes(uint8_t *dst, const uint8_t *shared_src, uint32_t len)
         *dst = reinterpret_cast<const std::atomic<uint8_t> *>(shared_src)
                    ->load(std::memory_order_relaxed);
         dst++, shared_src++, len--;
+    }
+}
+
+/**
+ * A reaper sleeps to a due time given in ns; the default 50 us timer
+ * slack would bill up to that much host wake-up delay as device time.
+ */
+void
+setFineTimerSlack()
+{
+    thread_local bool set = false;
+    if (!set) {
+        ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0);
+        set = true;
     }
 }
 
@@ -230,38 +239,31 @@ SsdDevice::submit(std::span<const SsdIoRequest> batch)
     ins_.inflight->add(static_cast<int64_t>(batch.size()));
     io::DeviceInstruments::noteDepth(stats_, depth);
 
-    if (!model_timing_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(cq_mu_);
-        for (size_t i = 0; i < batch.size(); i++) {
-            cq_.push_back({batch[i].user_data,
-                           faults.empty() ? Status::ok()
-                                          : faults[i].status,
-                           0});
-        }
-        inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
-        ins_.inflight->sub(static_cast<int64_t>(batch.size()));
-        cq_cv_.notify_all();
-        return Status::ok();
-    }
-
+    bool new_earliest;
     {
-        std::lock_guard<std::mutex> lock(sq_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
+        const uint64_t earliest =
+            pending_.empty() ? UINT64_MAX : pending_.top().due_ns;
+        const bool timed = model_timing_.load(std::memory_order_relaxed);
         for (size_t i = 0; i < batch.size(); i++) {
             const auto &req = batch[i];
-            uint64_t service = serviceTimeNs(req, now);
-            if (!faults.empty())
-                service += faults[i].extra_ns;
-            // Earliest-free internal channel serves the request.
-            auto it = std::min_element(channel_free_at_.begin(),
-                                       channel_free_at_.end());
-            const uint64_t start = std::max(now, *it);
-            const uint64_t due = start + service;
             Pending p;
-            p.due_ns = due;
+            p.due_ns = now;  // an untimed request is due at submit
             p.submit_ns = now;
-            p.start_ns = start;
-            p.channel = static_cast<uint32_t>(
-                it - channel_free_at_.begin());
+            p.start_ns = now;
+            if (timed) {
+                uint64_t service = serviceTimeNs(req, now);
+                if (!faults.empty())
+                    service += faults[i].extra_ns;
+                // Earliest-free internal channel serves the request.
+                auto it = std::min_element(channel_free_at_.begin(),
+                                           channel_free_at_.end());
+                p.start_ns = std::max(now, *it);
+                p.due_ns = p.start_ns + service;
+                p.channel = static_cast<uint32_t>(
+                    it - channel_free_at_.begin());
+                *it = p.due_ns;
+            }
             p.trace_id =
                 (static_cast<uint64_t>(ins_.dev) << 48) |
                 trace_req_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -269,102 +271,87 @@ SsdDevice::submit(std::span<const SsdIoRequest> batch)
                             faults.empty() ? Status::ok()
                                            : faults[i].status,
                             0};
-            *it = due;
             pending_.push(std::move(p));
         }
+        new_earliest = pending_.top().due_ns < earliest;
     }
-    sq_cv_.notify_one();
+    // Sleeping reapers aim at the old earliest due time; only a request
+    // due sooner needs to re-aim them.
+    if (new_earliest)
+        cv_.notify_all();
     return Status::ok();
 }
 
-void
-SsdDevice::workerLoop()
+size_t
+SsdDevice::reapDue(std::unique_lock<std::mutex> &lock,
+                   std::vector<SsdCompletion> &out, size_t max)
 {
-    trace::TraceRegistry::global().setThreadName(
-        "ssd" + std::to_string(ins_.dev) + "-worker");
-    std::unique_lock<std::mutex> lock(sq_mu_);
-    while (true) {
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        if (pending_.empty()) {
-            sq_cv_.wait(lock, [this] {
-                return stop_.load(std::memory_order_acquire) ||
-                       !pending_.empty();
-            });
-            continue;
-        }
-        const uint64_t due = pending_.top().due_ns;
-        const uint64_t now = nowNs();
-        if (now < due) {
-            sq_cv_.wait_for(lock, std::chrono::nanoseconds(due - now));
-            continue;
-        }
-        // Deliver everything that has come due.
-        std::vector<Pending> ready;
-        while (!pending_.empty() && pending_.top().due_ns <= now) {
-            ready.push_back(pending_.top());
-            pending_.pop();
-        }
-        lock.unlock();
-        if (trace::detail::tracingEnabled()) {
-            // Reconstructed at delivery: queue wait (submit -> channel
-            // pickup) as an async interval on this worker's track, and
-            // the service time as an "X" span on the serving channel's
-            // own synthetic track (channel occupancy never overlaps).
-            for (const auto &p : ready) {
-                if (p.start_ns > p.submit_ns) {
-                    trace::asyncBegin(PRISM_TRACE_NID("ssd.queue_wait"),
-                                      p.submit_ns, p.trace_id);
-                    trace::asyncEnd(PRISM_TRACE_NID("ssd.queue_wait"),
-                                    p.start_ns, p.trace_id);
-                }
-                if (p.channel < trace_channel_tracks_.size()) {
-                    trace::spanAt(PRISM_TRACE_NID("ssd.service"),
-                                  p.start_ns, p.due_ns - p.start_ns,
-                                  trace_channel_tracks_[p.channel]);
-                }
-            }
-        }
-        {
-            uint64_t busy = 0;
-            for (const auto &p : ready)
-                busy += p.due_ns - p.start_ns;
-            ins_.dev_busy_ns->add(busy);
-            std::lock_guard<std::mutex> cq_lock(cq_mu_);
-            for (auto &p : ready) {
-                p.completion.latency_ns = now - p.submit_ns;
-                ins_.latency->record(p.completion.latency_ns);
-                cq_.push_back(p.completion);
-            }
-        }
-        inflight_.fetch_sub(ready.size(), std::memory_order_acq_rel);
-        ins_.inflight->sub(static_cast<int64_t>(ready.size()));
-        cq_cv_.notify_all();
-        lock.lock();
+    thread_local std::vector<Pending> due;
+    due.clear();
+    const uint64_t now = nowNs();
+    while (!pending_.empty() && due.size() < max &&
+           pending_.top().due_ns <= now) {
+        due.push_back(pending_.top());
+        pending_.pop();
     }
+    lock.unlock();
+    if (due.empty())
+        return 0;
+    if (trace::detail::tracingEnabled()) {
+        // Reconstructed at reap: queue wait (submit -> channel pickup)
+        // as an async interval on the reaper's track, and the service
+        // time as an "X" span on the serving channel's own synthetic
+        // track (channel occupancy never overlaps).
+        for (const auto &p : due) {
+            if (p.start_ns > p.submit_ns) {
+                trace::asyncBegin(PRISM_TRACE_NID("ssd.queue_wait"),
+                                  p.submit_ns, p.trace_id);
+                trace::asyncEnd(PRISM_TRACE_NID("ssd.queue_wait"),
+                                p.start_ns, p.trace_id);
+            }
+            if (p.due_ns > p.start_ns) {
+                trace::spanAt(PRISM_TRACE_NID("ssd.service"),
+                              p.start_ns, p.due_ns - p.start_ns,
+                              trace_channel_tracks_[p.channel]);
+            }
+        }
+    }
+    uint64_t busy = 0;
+    for (auto &p : due) {
+        busy += p.due_ns - p.start_ns;
+        p.completion.latency_ns = now - p.submit_ns;
+        ins_.latency->record(p.completion.latency_ns);
+        out.push_back(std::move(p.completion));
+    }
+    ins_.dev_busy_ns->add(busy);
+    inflight_.fetch_sub(due.size(), std::memory_order_acq_rel);
+    ins_.inflight->sub(static_cast<int64_t>(due.size()));
+    return due.size();
 }
 
 size_t
 SsdDevice::pollCompletions(std::vector<SsdCompletion> &out, size_t max)
 {
-    std::lock_guard<std::mutex> lock(cq_mu_);
-    const size_t n = std::min(max, cq_.size());
-    out.insert(out.end(), cq_.begin(), cq_.begin() + static_cast<long>(n));
-    cq_.erase(cq_.begin(), cq_.begin() + static_cast<long>(n));
-    return n;
+    std::unique_lock<std::mutex> lock(mu_);
+    return reapDue(lock, out, max);
 }
 
 size_t
 SsdDevice::waitCompletions(std::vector<SsdCompletion> &out, size_t max,
                            uint64_t timeout_us)
 {
-    std::unique_lock<std::mutex> lock(cq_mu_);
-    cq_cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-                    [this] { return !cq_.empty(); });
-    const size_t n = std::min(max, cq_.size());
-    out.insert(out.end(), cq_.begin(), cq_.begin() + static_cast<long>(n));
-    cq_.erase(cq_.begin(), cq_.begin() + static_cast<long>(n));
-    return n;
+    setFineTimerSlack();
+    const uint64_t deadline = nowNs() + timeout_us * 1000;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (uint64_t now = nowNs(); now < deadline; now = nowNs()) {
+        const uint64_t due =
+            pending_.empty() ? UINT64_MAX : pending_.top().due_ns;
+        if (due <= now)
+            break;
+        cv_.wait_for(lock, std::chrono::nanoseconds(
+                               std::min(due, deadline) - now));
+    }
+    return reapDue(lock, out, max);
 }
 
 Status
@@ -413,13 +400,9 @@ SsdDevice::writeSync(uint64_t offset, const void *src, uint32_t length)
 void
 SsdDevice::simulateCrash()
 {
-    std::lock_guard<std::mutex> sq_lock(sq_mu_);
-    std::lock_guard<std::mutex> cq_lock(cq_mu_);
-    size_t dropped = pending_.size();
-    while (!pending_.empty())
-        pending_.pop();
-    dropped += cq_.size();
-    cq_.clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t dropped = pending_.size();
+    pending_ = {};
     inflight_.fetch_sub(dropped, std::memory_order_acq_rel);
     ins_.inflight->sub(static_cast<int64_t>(dropped));
     std::fill(channel_free_at_.begin(), channel_free_at_.end(), 0);

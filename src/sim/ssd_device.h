@@ -20,6 +20,13 @@
  * (§4.2, Fig 11), and aggregate bandwidth scales with the number of
  * devices (Fig 13).
  *
+ * The device owns no thread. submit() stamps each request with the time
+ * it is due, and whoever reaps — pollCompletions() or waitCompletions(),
+ * from any thread — completes every request that is due by then. A
+ * waiting reaper sleeps until the earliest due time (with 1 ns timer
+ * slack), so the latency a reaper observes is the modelled latency plus
+ * its own wake-up, with no hand-off in between.
+ *
  * Data is stored in sparse in-process pages, so a multi-gigabyte device
  * only consumes memory for blocks actually written. Completed writes
  * survive a simulated crash; queued-but-incomplete ones may be lost.
@@ -33,7 +40,6 @@
 #include <mutex>
 #include <queue>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -62,7 +68,7 @@ class SsdDevice : public io::IoBackend {
     /**
      * @param capacity_bytes device capacity (rounded up to a block).
      * @param profile        timing profile (default Samsung 980 Pro).
-     * @param model_timing   when false, requests complete instantly
+     * @param model_timing   when false, requests are due at submit
      *                       (useful for unit tests).
      */
     explicit SsdDevice(uint64_t capacity_bytes,
@@ -80,8 +86,8 @@ class SsdDevice : public io::IoBackend {
 
     /**
      * Submit a batch of requests (the io_uring_submit analogue).
-     * Data is transferred atomically per request; the completion is
-     * delivered once the modelled device time has elapsed.
+     * Data is transferred atomically per request; the completion can be
+     * reaped once the modelled device time has elapsed.
      */
     Status submit(std::span<const SsdIoRequest> batch) override;
 
@@ -102,7 +108,8 @@ class SsdDevice : public io::IoBackend {
     }
 
     /**
-     * Simulated power failure: pending (incomplete) requests are dropped.
+     * Simulated power failure: unreaped requests are dropped, whether or
+     * not they were already due.
      * Written data from completed requests is retained, mirroring a real
      * device's durability contract at completion time.
      */
@@ -136,7 +143,7 @@ class SsdDevice : public io::IoBackend {
         uint64_t due_ns;
         uint64_t submit_ns;
         uint64_t start_ns = 0;   ///< when a channel picked the request up
-        uint32_t channel = 0;    ///< which channel served it
+        uint32_t channel = 0;    ///< which channel served it (timed only)
         uint64_t trace_id = 0;   ///< pairing id for queue-wait trace events
         SsdCompletion completion;
 
@@ -147,7 +154,8 @@ class SsdDevice : public io::IoBackend {
     void copyIn(uint64_t offset, const void *src, uint32_t len);
     void copyOut(uint64_t offset, void *dst, uint32_t len);
     uint64_t serviceTimeNs(const SsdIoRequest &req, uint64_t now);
-    void workerLoop();
+    size_t reapDue(std::unique_lock<std::mutex> &lock,
+                   std::vector<SsdCompletion> &out, size_t max);
 
     uint64_t capacity_;
     DeviceProfile profile_;
@@ -157,25 +165,18 @@ class SsdDevice : public io::IoBackend {
     std::vector<std::atomic<uint8_t *>> pages_;
     std::mutex page_alloc_mu_;
 
-    // Channel timing model (guarded by sq_mu_).
-    std::mutex sq_mu_;
+    // Channel timing model and the due-time queue, both guarded by mu_.
+    // Reapers sleep on cv_ until the earliest due time; a submit that
+    // makes a new earliest due time wakes them.
+    std::mutex mu_;
+    std::condition_variable cv_;
     std::vector<uint64_t> channel_free_at_;
     std::unique_ptr<TokenBucket> read_bw_;
     std::unique_ptr<TokenBucket> write_bw_;
-
-    // Pending completions ordered by due time.
     std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
         pending_;
-    std::condition_variable sq_cv_;
-
-    // Completion queue.
-    std::mutex cq_mu_;
-    std::condition_variable cq_cv_;
-    std::vector<SsdCompletion> cq_;
 
     std::atomic<uint64_t> inflight_{0};
-    std::atomic<bool> stop_{false};
-    std::thread worker_;
 
     SsdStats stats_;
 

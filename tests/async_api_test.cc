@@ -164,7 +164,9 @@ TEST(AsyncApi, AgreesWithBlockingApi)
             break;
           }
           case 2: {
-            const Status &st = ts.db->asyncDel(key).wait();
+            // A copy: wait() returns a reference into the future's state,
+            // which dies with the temporary future.
+            const Status st = ts.db->asyncDel(key).wait();
             if (model.erase(key) != 0)
                 EXPECT_TRUE(st.isOk());
             else

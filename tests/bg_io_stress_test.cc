@@ -157,6 +157,60 @@ TEST(BgIoStressTest, ParallelReclaimAndGcNeverLoseValues)
     EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaim_passes"), 0u);
 }
 
+TEST(BgIoStressTest, ReclaimAdmissionRacesSvcEviction)
+{
+    // Reclaim passes admit every relocated value to the SVC while the
+    // writers keep overwriting a few large values. Each overwrite
+    // detaches the key's fresh SVC entry, the SVC manager retires it,
+    // and the advancer thread moves the epoch on so the entry is freed
+    // as early as the epoch rules allow. admit() reads its entry back
+    // after publishing it, so an admission made outside an epoch guard
+    // reads freed memory here (ASan reports it).
+    Rig rig(stressOptions(), 2, /*tracking=*/false);
+
+    constexpr int kWriters = 3;
+    constexpr uint64_t kKeysPerWriter = 16;
+    constexpr uint64_t kPutsPerWriter = 16 * 3000;
+    const auto big = [](uint64_t key, uint64_t version) {
+        std::string v = versionedValue(key, version);
+        v.resize(4000, '#');
+        return v;
+    };
+    const auto before = stats::StatsRegistry::global().snapshot();
+    std::atomic<bool> stop{false};
+    std::thread advancer([&] {
+        while (!stop.load(std::memory_order_acquire))
+            rig.db->epochs().tryAdvance();
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; w++) {
+        writers.emplace_back([&, w] {
+            for (uint64_t i = 0; i < kPutsPerWriter; i++) {
+                const uint64_t key = static_cast<uint64_t>(w) *
+                                         kKeysPerWriter +
+                                     i % kKeysPerWriter;
+                ASSERT_TRUE(
+                    rig.db->put(key, big(key, i / kKeysPerWriter + 1))
+                        .isOk());
+            }
+        });
+    }
+    for (auto &t : writers)
+        t.join();
+    stop.store(true, std::memory_order_release);
+    advancer.join();
+    rig.db->flushAll();
+
+    std::string v;
+    for (uint64_t key = 0; key < kWriters * kKeysPerWriter; key++) {
+        ASSERT_TRUE(rig.db->get(key, &v).isOk()) << key;
+        ASSERT_EQ(v, big(key, kPutsPerWriter / kKeysPerWriter)) << key;
+    }
+    const auto after = stats::StatsRegistry::global().snapshot();
+    EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaimed_values"), 0u);
+    EXPECT_GT(after.counterDelta(before, "prism.svc.admissions"), 0u);
+}
+
 TEST(BgIoStressTest, ConcurrentChunkWritersShareTailsWithGc)
 {
     // Pipelined (reclaim-like) and barrier (reorg-like) chunk writers

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <future>
 #include <set>
 #include <thread>
 
@@ -774,6 +775,30 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
     completer.join();
     EXPECT_EQ(batcher.requestsCoalesced(), 8u * 500);
     EXPECT_LE(batcher.batchesSubmitted(), batcher.requestsCoalesced());
+}
+
+TEST_P(ReadBatcherTest, ReadPastCapacityFailsPromptly)
+{
+    // The device rejects the batch, so it produces no completions; the
+    // reader must still get an error instead of waiting forever.
+    auto ssd = std::make_shared<sim::SsdDevice>(
+        1 << 20, sim::kSamsung980ProProfile, /*timing=*/false);
+    auto batcher = std::make_shared<ReadBatcher>(*ssd, GetParam(), 16, 50);
+    auto done = std::make_shared<std::promise<Status>>();
+    std::future<Status> result = done->get_future();
+    std::thread reader([ssd, batcher, done] {
+        std::vector<uint8_t> buf(4096);
+        done->set_value(batcher->read(1 << 20, buf.data(), 4096));
+    });
+    if (result.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+        // Blocked for good, so it cannot be joined; it holds shared
+        // owners of everything it touches.
+        reader.detach();
+        FAIL() << "a read past capacity never returned";
+    }
+    reader.join();
+    EXPECT_FALSE(result.get().isOk());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReadBatcherTest,

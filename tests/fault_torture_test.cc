@@ -259,6 +259,17 @@ TEST(FaultWiring, InjectedReadErrorsAreRetriedTransparently)
     ASSERT_TRUE(rig.db->scan(0, 64, &scanned).isOk());
     ASSERT_EQ(scanned.size(), 64u);
 
+    // asyncGet resubmits from the completion thread. One op in flight
+    // at a time, so each retry is the device's next submission.
+    const uint64_t async_retries_before = counterValue("prism.vs.retries");
+    for (uint64_t k = 1; k < kKeys; k += 5) {
+        OpFuture f = rig.db->asyncGet(k);
+        ASSERT_TRUE(f.wait().isOk()) << k << ": " << f.status().toString();
+        EXPECT_EQ(f.value(), value(k, 1)) << k;
+    }
+    EXPECT_GT(counterValue("prism.vs.retries"), async_retries_before)
+        << "async reads hit injected errors, so they must have retried";
+
     FaultRegistry::global().disarmAll();
     EXPECT_GT(counterValue("prism.vs.retries"), retries_before)
         << "faults were injected, so retries must have engaged";

@@ -5,9 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <set>
+#include <thread>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "common/waiter.h"
 #include "sim/nvm_device.h"
 #include "sim/ssd_array.h"
@@ -115,6 +120,142 @@ TEST(SsdDeviceTest, TimedReadHasModeledLatency)
     // 980 Pro read latency is 50 us; allow generous slack upward.
     EXPECT_GE(dt, 45 * 1000u);
     EXPECT_GE(done[0].latency_ns, 40 * 1000u);
+}
+
+SsdIoRequest
+readRequest(void *buf, uint64_t user_data)
+{
+    SsdIoRequest req;
+    req.op = SsdIoRequest::Op::kRead;
+    req.offset = (user_data % 64) * 4096;
+    req.length = 4096;
+    req.buf = buf;
+    req.user_data = user_data;
+    return req;
+}
+
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        n++;
+    return n;
+}
+
+TEST(SsdDeviceTest, NoThreadOfItsOwn)
+{
+    // The device is a passive due-time queue: its reapers keep time.
+    const size_t before = threadCount();
+    std::vector<std::unique_ptr<SsdDevice>> devs;
+    for (int i = 0; i < 4; i++) {
+        devs.push_back(std::make_unique<SsdDevice>(
+            16 << 20, kSamsung980ProProfile, /*timing=*/true));
+    }
+    EXPECT_EQ(threadCount(), before);
+}
+
+TEST(SsdDeviceTest, SubmitWakesSleepingReaper)
+{
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/true);
+    std::vector<SsdCompletion> done;
+    uint64_t returned_ns = 0;
+    std::thread reaper([&] {
+        dev.waitCompletions(done, 1, /*timeout_us=*/2'000'000);
+        returned_ns = nowNs();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<uint8_t> buf(4096);
+    const uint64_t submit_ns = nowNs();
+    ASSERT_TRUE(dev.submit(readRequest(buf.data(), 7)).isOk());
+    reaper.join();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].user_data, 7u);
+    // Due 50 us after submit; the reaper must not sleep out its timeout.
+    EXPECT_LT(returned_ns - submit_ns, 500'000'000u);
+}
+
+TEST(SsdDeviceTest, PollReturnsOnlyWhatIsDue)
+{
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/true);
+    // Injected latency pushes the due time far enough out that the
+    // first poll cannot be late for it, however loaded the host.
+    auto &faults = fault::FaultRegistry::global();
+    fault::FaultSpec slow;
+    slow.trigger = fault::Trigger::kOnce;
+    slow.payload = 100'000'000;  // 100 ms
+    faults.arm("ssd." + std::to_string(dev.deviceNumber()) + ".latency",
+               slow);
+    std::vector<uint8_t> buf(4096);
+    ASSERT_TRUE(dev.submit(readRequest(buf.data(), 3)).isOk());
+    faults.disarmAll();
+    std::vector<SsdCompletion> done;
+    EXPECT_EQ(dev.pollCompletions(done, 8), 0u);
+    EXPECT_EQ(dev.inflight(), 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    ASSERT_EQ(dev.pollCompletions(done, 8), 1u);
+    EXPECT_EQ(done[0].user_data, 3u);
+    EXPECT_GE(done[0].latency_ns, 100'000'000u);
+    EXPECT_EQ(dev.inflight(), 0u);
+}
+
+TEST(SsdDeviceTest, CrashDropsDueButUnreapedCompletions)
+{
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/false);
+    std::vector<uint8_t> buf(4096);
+    for (uint64_t i = 1; i <= 4; i++)
+        ASSERT_TRUE(dev.submit(readRequest(buf.data(), i)).isOk());
+    EXPECT_EQ(dev.inflight(), 4u);  // due at once, but nobody reaped
+    dev.simulateCrash();
+    EXPECT_EQ(dev.inflight(), 0u);
+    std::vector<SsdCompletion> done;
+    EXPECT_EQ(dev.pollCompletions(done, 8), 0u);
+}
+
+TEST(SsdDeviceTest, ConcurrentReapersSeeEachCompletionOnce)
+{
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/true);
+    constexpr int kSubmitters = 4;
+    constexpr uint64_t kPerSubmitter = 500;
+    constexpr uint64_t kTotal = kSubmitters * kPerSubmitter;
+    std::atomic<uint64_t> reaped{0};
+    std::vector<std::vector<uint64_t>> seen(2);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 2; r++) {
+        threads.emplace_back([&, r] {
+            std::vector<SsdCompletion> done;
+            while (reaped.load() < kTotal) {
+                done.clear();
+                const size_t n = r == 0 ? dev.waitCompletions(done, 16, 1000)
+                                        : dev.pollCompletions(done, 16);
+                for (const auto &c : done) {
+                    EXPECT_TRUE(c.status.isOk());
+                    seen[r].push_back(c.user_data);
+                }
+                reaped.fetch_add(n);
+                if (n == 0)
+                    std::this_thread::yield();
+            }
+        });
+    }
+    for (int s = 0; s < kSubmitters; s++) {
+        threads.emplace_back([&, s] {
+            std::vector<uint8_t> buf(4096);
+            for (uint64_t i = 0; i < kPerSubmitter; i++) {
+                const uint64_t tag = static_cast<uint64_t>(s) * kPerSubmitter +
+                                     i + 1;
+                ASSERT_TRUE(dev.submit(readRequest(buf.data(), tag)).isOk());
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    std::set<uint64_t> tags(seen[0].begin(), seen[0].end());
+    tags.insert(seen[1].begin(), seen[1].end());
+    EXPECT_EQ(seen[0].size() + seen[1].size(), kTotal);
+    EXPECT_EQ(tags.size(), kTotal);
+    EXPECT_EQ(dev.inflight(), 0u);
 }
 
 TEST(SsdDeviceTest, RejectsOutOfRange)
