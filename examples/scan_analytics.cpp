@@ -79,9 +79,10 @@ main()
                 total("prism.svc.hits"), total("prism.svc.admissions"),
                 total("prism.svc.evictions"));
     std::printf("scan-aware reorganisations: %llu (rewrote %llu values "
-                "contiguously)\n",
+                "contiguously, left %llu already-contiguous in place)\n",
                 total("prism.svc.scan_reorgs"),
-                total("prism.svc.reorged_values"));
+                total("prism.svc.reorged_values"),
+                total("prism.svc.reorg_kept_values"));
     std::printf("SSD value reads: %llu\n",
                 static_cast<unsigned long long>(
                     after.counterDelta(before, "prism.get.vs_reads")));

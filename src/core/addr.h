@@ -93,6 +93,40 @@ class ValueAddr {
 };
 
 /**
+ * Value Storage records that one scan fetches with a single read: all on
+ * one SSD, each starting where the previous one ends, and together no
+ * longer than a chunk. PrismDb::scan merges its SSD reads with this rule
+ * and the SVC's scan-aware reorganisation leaves such runs in place, so
+ * the two always agree on what is already contiguous.
+ */
+struct ScanExtent {
+    uint32_t ssd;
+    uint64_t start;
+    uint64_t end;
+
+    explicit ScanExtent(ValueAddr a)
+        : ssd(a.ssdId()), start(a.offset()),
+          end(a.offset() + a.recordBytes())
+    {}
+
+    /**
+     * Grow the extent by the record at @p a when one read still covers
+     * it (callers visit records sorted by SSD and offset).
+     * @return true if @p a joined the extent.
+     */
+    bool
+    extend(ValueAddr a, uint64_t chunk_bytes)
+    {
+        const uint64_t a_end = a.offset() + a.recordBytes();
+        if (a.ssdId() != ssd || a.offset() != end ||
+            a_end - start > chunk_bytes)
+            return false;
+        end = a_end;
+        return true;
+    }
+};
+
+/**
  * On-media record header preceding every value in the PWB and in Value
  * Storage chunks (§5.1: backward pointer + size). The key is carried
  * for scan-aware reorganisation; the CRC32C protects identity + payload

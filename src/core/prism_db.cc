@@ -761,45 +761,33 @@ PrismDb::scan(uint64_t start_key, size_t count,
                       return a.addr.offset() < b.addr.offset();
                   });
         struct Span {
-            uint32_t ssd;
-            uint64_t start;
-            uint64_t end;
+            Span(ValueAddr a, size_t first) : ext(a), first_req(first) {}
+            ScanExtent ext;
             size_t first_req;
-            size_t req_count;
+            size_t req_count = 1;
             std::vector<uint8_t> buf;
             io::IoRequest req;  ///< kept for error-path resubmission
             ReadWaiter waiter;
         };
         std::vector<std::unique_ptr<Span>> spans;
         for (size_t i = 0; i < vs_reqs.size(); i++) {
-            const auto &r = vs_reqs[i];
-            const uint64_t end = r.addr.offset() + r.addr.recordBytes();
-            if (!spans.empty()) {
-                Span &s = *spans.back();
-                if (s.ssd == r.addr.ssdId() && s.end == r.addr.offset() &&
-                    end - s.start <= opts_.chunk_bytes) {
-                    s.end = end;
-                    s.req_count++;
-                    continue;
-                }
+            const ValueAddr a = vs_reqs[i].addr;
+            if (!spans.empty() &&
+                spans.back()->ext.extend(a, opts_.chunk_bytes)) {
+                spans.back()->req_count++;
+                continue;
             }
-            auto s = std::make_unique<Span>();
-            s->ssd = r.addr.ssdId();
-            s->start = r.addr.offset();
-            s->end = end;
-            s->first_req = i;
-            s->req_count = 1;
-            spans.push_back(std::move(s));
+            spans.push_back(std::make_unique<Span>(a, i));
         }
         for (auto &s : spans) {
-            s->buf.resize(s->end - s->start);
+            s->buf.resize(s->ext.end - s->ext.start);
             s->req.op = io::IoRequest::Op::kRead;
-            s->req.offset = s->start;
+            s->req.offset = s->ext.start;
             s->req.length = static_cast<uint32_t>(s->buf.size());
             s->req.buf = s->buf.data();
             s->req.user_data = reinterpret_cast<uint64_t>(&s->waiter);
             const Status st =
-                value_storages_[s->ssd]->device().submit(s->req);
+                value_storages_[s->ext.ssd]->device().submit(s->req);
             if (!st.isOk())
                 return st;
         }
@@ -809,7 +797,7 @@ PrismDb::scan(uint64_t start_key, size_t count,
         Status io_st = Status::ok();
         for (auto &s : spans) {
             const Status wait_st = waitReadRetrying(
-                value_storages_[s->ssd]->device(), s->req, s->waiter,
+                value_storages_[s->ext.ssd]->device(), s->req, s->waiter,
                 reg_.vs_read_retries);
             if (io_st.isOk() && !wait_st.isOk())
                 io_st = wait_st;
@@ -821,7 +809,7 @@ PrismDb::scan(uint64_t start_key, size_t count,
                  i++) {
                 const auto &r = vs_reqs[i];
                 const auto *hdr = checkedVsRecord(
-                    s->buf.data() + (r.addr.offset() - s->start),
+                    s->buf.data() + (r.addr.offset() - s->ext.start),
                     r.addr.recordBytes(), r.h);
                 if (hdr == nullptr)
                     return Status::corruption("scan record invalid");

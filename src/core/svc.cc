@@ -15,7 +15,7 @@ Svc::Svc(Hsit &hsit, EpochManager &epochs,
          std::vector<ValueStorage *> targets, const PrismOptions &opts)
     : hsit_(hsit), epochs_(epochs), targets_(std::move(targets)),
       enabled_(opts.enable_svc), scan_reorg_(opts.enable_scan_reorg),
-      capacity_(opts.svc_capacity_bytes)
+      capacity_(opts.svc_capacity_bytes), chunk_bytes_(opts.chunk_bytes)
 {
     auto &reg = stats::StatsRegistry::global();
     reg_hits_ = &reg.counter("prism.svc.hits", "ops");
@@ -24,6 +24,8 @@ Svc::Svc(Hsit &hsit, EpochManager &epochs,
     reg_evictions_ = &reg.counter("prism.svc.evictions", "ops");
     reg_scan_reorgs_ = &reg.counter("prism.svc.scan_reorgs", "ops");
     reg_reorged_values_ = &reg.counter("prism.svc.reorged_values", "ops");
+    reg_reorg_kept_values_ =
+        &reg.counter("prism.svc.reorg_kept_values", "ops");
     manager_ = std::thread([this] { managerLoop(); });
 }
 
@@ -375,8 +377,7 @@ Svc::reorganizeChain(SvcEntry *evictee)
 {
     PRISM_TRACE_SPAN("svc.reorg");
     // Walk the doubly-linked chain formed at scan time (no extra lookup
-    // needed, §4.4), collect the members, and rewrite them sorted into a
-    // fresh chunk so the range becomes one sequential read.
+    // needed, §4.4) and collect the members that still live on SSD.
     std::vector<SvcEntry *> chain;
     for (SvcEntry *e = evictee; e != nullptr; e = e->scan_prev)
         chain.push_back(e);
@@ -401,6 +402,30 @@ Svc::reorganizeChain(SvcEntry *evictee)
             continue;  // superseded meanwhile
         items.push_back({e, addr});
     }
+
+    // Split the members into the extents a scan reads with one I/O. A
+    // run of two or more already costs the scan a single read, so it
+    // stays where it is; only the scattered singles are rewritten.
+    std::sort(items.begin(), items.end(), [](const Item &a, const Item &b) {
+        if (a.old_addr.ssdId() != b.old_addr.ssdId())
+            return a.old_addr.ssdId() < b.old_addr.ssdId();
+        return a.old_addr.offset() < b.old_addr.offset();
+    });
+    std::vector<Item> singles;
+    size_t kept = 0;
+    for (size_t i = 0; i < items.size();) {
+        ScanExtent ext(items[i].old_addr);
+        size_t j = i + 1;
+        while (j < items.size() && ext.extend(items[j].old_addr, chunk_bytes_))
+            j++;
+        if (j - i >= 2)
+            kept += j - i;
+        else
+            singles.push_back(items[i]);
+        i = j;
+    }
+    reg_reorg_kept_values_->add(kept);
+    items = std::move(singles);
     if (items.size() < 2)
         return;
 

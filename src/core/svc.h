@@ -13,9 +13,12 @@
  *     demotion and eviction, with epoch-based reclamation protecting
  *     readers of evicted entries.
  *  3. *Scan awareness* — values returned by one scan are chained in a
- *     doubly-linked list; when one of them is evicted, the whole chain
- *     is sorted by key and rewritten into a single Value Storage chunk,
- *     restoring spatial locality for future scans.
+ *     doubly-linked list; when one of them is evicted, the chain's
+ *     scattered members are sorted by key and rewritten side by side in
+ *     Value Storage, restoring spatial locality for future scans.
+ *     Members that already form a run one scan read covers (a
+ *     ScanExtent of two or more records) stay where they are: moving
+ *     them would cost an SSD write and save the scan nothing.
  *
  * Staleness safety: an SVC entry remembers the Value Storage address its
  * payload was copied from (`vs_raw`). Readers accept the cached copy
@@ -164,7 +167,11 @@ class Svc {
     void processEvent(Event &ev);
     void balance();
     void evictOne();
-    /** Sort + rewrite the scan chain containing @p e (Fig. 3 steps 5-6). */
+    /**
+     * Reorganise the scan chain containing @p e (Fig. 3 steps 5-6):
+     * members already in a multi-record ScanExtent stay in place, the
+     * scattered rest are sorted by key and rewritten side by side.
+     */
     void reorganizeChain(SvcEntry *e);
     void unlinkScan(SvcEntry *e);
     void retireEntry(SvcEntry *e);
@@ -175,6 +182,7 @@ class Svc {
     bool enabled_;
     bool scan_reorg_;
     uint64_t capacity_;
+    uint64_t chunk_bytes_;  ///< longest extent one scan read covers
 
     std::atomic<uint64_t> used_bytes_{0};
 
@@ -202,6 +210,7 @@ class Svc {
     stats::Counter *reg_evictions_;
     stats::Counter *reg_scan_reorgs_;
     stats::Counter *reg_reorged_values_;
+    stats::Counter *reg_reorg_kept_values_;
 
     std::atomic<bool> stop_{false};
     std::thread manager_;

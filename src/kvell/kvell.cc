@@ -9,6 +9,20 @@
 
 namespace prism::kvell {
 
+Kvell::SlotHeader
+Kvell::loadHeader(const uint8_t *slot)
+{
+    SlotHeader hdr;
+    std::memcpy(&hdr, slot, sizeof(hdr));
+    return hdr;
+}
+
+void
+Kvell::storeHeader(uint8_t *slot, const SlotHeader &hdr)
+{
+    std::memcpy(slot, &hdr, sizeof(hdr));
+}
+
 Kvell::Kvell(const KvellOptions &opts,
              std::vector<std::shared_ptr<sim::SsdDevice>> ssds)
     : opts_(opts), ssds_(std::move(ssds))
@@ -361,13 +375,12 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = slot / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            auto *hdr = reinterpret_cast<SlotHeader *>(
-                lit->second.data() + (slot % spp) * slot_bytes_);
-            hdr->key = req->key;
-            hdr->value_len =
-                static_cast<uint32_t>(req->value_in.size());
-            hdr->valid = 1;
-            std::memcpy(hdr + 1, req->value_in.data(),
+            uint8_t *slot_p =
+                lit->second.data() + (slot % spp) * slot_bytes_;
+            storeHeader(slot_p,
+                        {req->key,
+                         static_cast<uint32_t>(req->value_in.size()), 1});
+            std::memcpy(slot_p + sizeof(SlotHeader), req->value_in.data(),
                         req->value_in.size());
             markDirty(page);
             req->status = Status::ok();
@@ -382,10 +395,11 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = it->second / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            const auto *hdr = reinterpret_cast<const SlotHeader *>(
-                lit->second.data() + (it->second % spp) * slot_bytes_);
+            const uint8_t *slot_p =
+                lit->second.data() + (it->second % spp) * slot_bytes_;
             req->value_out->assign(
-                reinterpret_cast<const char *>(hdr + 1), hdr->value_len);
+                reinterpret_cast<const char *>(slot_p + sizeof(SlotHeader)),
+                loadHeader(slot_p).value_len);
             req->status = Status::ok();
             break;
           }
@@ -399,10 +413,12 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = slot / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            auto *hdr = reinterpret_cast<SlotHeader *>(
-                lit->second.data() + (slot % spp) * slot_bytes_);
-            hdr->valid = 0;
-            hdr->value_len = 0;
+            uint8_t *slot_p =
+                lit->second.data() + (slot % spp) * slot_bytes_;
+            SlotHeader hdr = loadHeader(slot_p);
+            hdr.valid = 0;
+            hdr.value_len = 0;
+            storeHeader(slot_p, hdr);
             w.index.erase(it);
             w.free_slots.push_back(slot);
             markDirty(page);
@@ -505,11 +521,12 @@ Kvell::processScan(Worker &w, Request &req)
     for (const auto &[key, slot] : hits) {
         auto lit = local.find(slot / spp);
         PRISM_CHECK(lit != local.end());
-        const auto *hdr = reinterpret_cast<const SlotHeader *>(
-            lit->second.data() + (slot % spp) * slot_bytes_);
+        const uint8_t *slot_p =
+            lit->second.data() + (slot % spp) * slot_bytes_;
         req.scan_out->emplace_back(
-            key, std::string(reinterpret_cast<const char *>(hdr + 1),
-                             hdr->value_len));
+            key, std::string(reinterpret_cast<const char *>(
+                                 slot_p + sizeof(SlotHeader)),
+                             loadHeader(slot_p).value_len));
     }
     for (auto &[page, data] : local) {
         if (cacheLookup(w, page) == nullptr)
@@ -551,10 +568,10 @@ Kvell::recoverByFullScan()
             w->ssd->readSync(w->slab_base + p * kPageBytes, page.data(),
                              kPageBytes);
             for (uint64_t s = 0; s < spp; s++) {
-                const auto *hdr = reinterpret_cast<const SlotHeader *>(
-                    page.data() + s * slot_bytes_);
-                if (hdr->valid != 0)
-                    w->index[hdr->key] = p * spp + s;
+                const SlotHeader hdr =
+                    loadHeader(page.data() + s * slot_bytes_);
+                if (hdr.valid != 0)
+                    w->index[hdr.key] = p * spp + s;
                 else
                     w->free_slots.push_back(p * spp + s);
             }

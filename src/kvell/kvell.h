@@ -103,6 +103,13 @@ class Kvell {
         uint32_t valid;
     };
 
+    /**
+     * Slots are kPageBytes / slots-per-page wide, so a header need not
+     * sit on an 8-byte boundary: copy it in and out, never cast in place.
+     */
+    static SlotHeader loadHeader(const uint8_t *slot);
+    static void storeHeader(uint8_t *slot, const SlotHeader &hdr);
+
     enum class ReqType { kPut, kGet, kDel, kScanIndex };
 
     struct Request {

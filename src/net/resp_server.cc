@@ -177,6 +177,9 @@ struct RespServer::Impl {
     stats::Gauge *g_inflight = nullptr;
     stats::Gauge *g_tenants = nullptr;
 
+    /** The server whose loop() runs on this thread, if any. */
+    static inline thread_local const Impl *loop_owner = nullptr;
+
     explicit Impl(ycsb::KvStore &s) : store(s) {}
 
     void loop();
@@ -207,11 +210,15 @@ RespServer::Impl::completionCb()
     // Runs on whichever thread completes the op (often a Value-Storage
     // completion thread). It must not touch any Conn/Pending fields —
     // readiness is read from the future's own shared state — so its
-    // whole job is waking the loop. The inflight decrement comes AFTER
-    // the wake write: stop() keeps the pipe open until inflight hits
-    // zero, which makes the write always safe.
+    // whole job is waking the loop. An op that completes inline runs
+    // this on the loop thread itself, inside dispatch(), and the flush
+    // that follows dispatch() finds it ready: no wake is needed. The
+    // inflight decrement comes AFTER the wake write: stop() keeps the
+    // pipe open until inflight hits zero, which makes the write always
+    // safe.
     return [this](const Status &) {
-        wakeLoop();
+        if (loop_owner != this)
+            wakeLoop();
         g_inflight->sub(1);
         store_inflight.fetch_sub(1, std::memory_order_release);
     };
@@ -621,6 +628,7 @@ void
 RespServer::Impl::loop()
 {
     trace::TraceRegistry::global().setThreadName("prism-resp");
+    loop_owner = this;
     std::vector<std::unique_ptr<Conn>> conns;
     std::vector<std::string> args;
     while (!stopping.load(std::memory_order_acquire)) {

@@ -201,9 +201,13 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
     SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
     const std::string value(600, 's');
     // Publish a scattered key range, admit it, and declare it one scan.
+    // Successive publishes pack into the same chunk side by side, so a
+    // filler record (never cached, never scanned) separates each member
+    // from the next: otherwise the range is already one run.
     std::vector<std::pair<uint64_t, ValueAddr>> range;
     std::vector<uint64_t> chain;
     for (uint64_t k = 0; k < 40; k++) {
+        fx.publishOnSsd(5000 + k, value);
         range.push_back(fx.publishOnSsd(k * 7, value));
         EpochGuard guard(fx.epochs);
         fx.svc->admit(range.back().first, k * 7, range.back().second,
@@ -256,6 +260,143 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
         EXPECT_EQ(hdr->backward, h);
         EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
     }
+}
+
+/** Address of each published record as the HSIT holds it now. */
+std::vector<ValueAddr>
+currentAddrs(SvcFixture &fx,
+             const std::vector<std::pair<uint64_t, ValueAddr>> &items)
+{
+    std::vector<ValueAddr> out;
+    for (const auto &[h, old_addr] : items)
+        out.push_back(fx.hsit->loadPrimary(h));
+    return out;
+}
+
+/** True when @p b starts on the same SSD exactly where @p a ends. */
+bool
+adjacent(ValueAddr a, ValueAddr b)
+{
+    return a.ssdId() == b.ssdId() &&
+           b.offset() == a.offset() + a.recordBytes();
+}
+
+/**
+ * Admit every item as one scan's chain, then flood the cache with
+ * records published up front, so the chain is evicted while nothing
+ * else writes to Value Storage.
+ */
+void
+scanThenEvict(SvcFixture &fx,
+              const std::vector<std::pair<uint64_t, ValueAddr>> &items,
+              const std::vector<uint64_t> &keys, const std::string &value)
+{
+    std::vector<uint64_t> chain;
+    for (size_t i = 0; i < items.size(); i++) {
+        EpochGuard guard(fx.epochs);
+        fx.svc->admit(items[i].first, keys[i], items[i].second,
+                      reinterpret_cast<const uint8_t *>(value.data()),
+                      static_cast<uint32_t>(value.size()));
+        chain.push_back(items[i].first);
+    }
+    fx.svc->noteScan(chain);
+    fx.svc->drainForTest();
+
+    const std::string filler(900, 'x');
+    std::vector<std::pair<uint64_t, ValueAddr>> flood;
+    for (uint64_t k = 1000; k < 1400; k++)
+        flood.push_back(fx.publishOnSsd(k, filler));
+    for (size_t i = 0; i < flood.size(); i++) {
+        EpochGuard guard(fx.epochs);
+        fx.svc->admit(flood[i].first, 1000 + i, flood[i].second,
+                      reinterpret_cast<const uint8_t *>(filler.data()),
+                      static_cast<uint32_t>(filler.size()));
+        if (i % 32 == 0)
+            fx.svc->drainForTest();
+    }
+    fx.svc->drainForTest();
+}
+
+/** Every record must still parse, belong to its entry and pass CRC. */
+void
+expectRecordsIntact(SvcFixture &fx,
+                    const std::vector<std::pair<uint64_t, ValueAddr>> &items)
+{
+    std::vector<uint8_t> buf;
+    for (const auto &[h, old_addr] : items) {
+        const ValueAddr a = fx.hsit->loadPrimary(h);
+        ASSERT_TRUE(a.isVs());
+        ASSERT_TRUE(fx.vs->readRecord(a, buf).isOk());
+        const auto *hdr =
+            reinterpret_cast<const ValueRecordHeader *>(buf.data());
+        EXPECT_EQ(hdr->backward, h);
+        EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
+    }
+}
+
+TEST(SvcTest, ContiguousChainIsNotRewritten)
+{
+    SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
+    const std::string value(600, 'c');
+    std::vector<std::pair<uint64_t, ValueAddr>> range;
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 0; k < 40; k++) {
+        range.push_back(fx.publishOnSsd(k, value));
+        keys.push_back(k);
+    }
+    // Precondition: successive publishes pack side by side, so a scan
+    // already reads this range as one extent.
+    for (size_t i = 1; i < range.size(); i++)
+        ASSERT_TRUE(adjacent(range[i - 1].second, range[i].second)) << i;
+
+    scanThenEvict(fx, range, keys, value);
+
+    const std::vector<ValueAddr> now = currentAddrs(fx, range);
+    for (size_t i = 0; i < range.size(); i++)
+        EXPECT_EQ(now[i], range[i].second) << i;
+    EXPECT_EQ(fx.counted("prism.svc.reorg_kept_values"), range.size());
+    EXPECT_EQ(fx.counted("prism.svc.scan_reorgs"), 0u);
+    EXPECT_EQ(fx.counted("prism.svc.reorged_values"), 0u);
+    expectRecordsIntact(fx, range);
+}
+
+TEST(SvcTest, RewritesOnlyScatteredMembers)
+{
+    SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
+    const std::string value(600, 'r');
+    // Keys 0..9 form one contiguous run. Keys 10..19 are published in
+    // descending order, each behind a filler record, so they are
+    // scattered and out of key order on the device.
+    std::vector<std::pair<uint64_t, ValueAddr>> run;
+    std::vector<std::pair<uint64_t, ValueAddr>> singles(10);
+    for (uint64_t k = 0; k < 10; k++)
+        run.push_back(fx.publishOnSsd(k, value));
+    for (uint64_t k = 19; k >= 10; k--) {
+        fx.publishOnSsd(5000 + k, value);
+        singles[k - 10] = fx.publishOnSsd(k, value);
+    }
+    std::vector<std::pair<uint64_t, ValueAddr>> all = run;
+    all.insert(all.end(), singles.begin(), singles.end());
+    std::vector<uint64_t> keys;
+    for (uint64_t k = 0; k < 20; k++)
+        keys.push_back(k);
+
+    scanThenEvict(fx, all, keys, value);
+
+    const std::vector<ValueAddr> run_now = currentAddrs(fx, run);
+    for (size_t i = 0; i < run.size(); i++)
+        EXPECT_EQ(run_now[i], run[i].second) << i;
+    const std::vector<ValueAddr> singles_now = currentAddrs(fx, singles);
+    for (size_t i = 0; i < singles.size(); i++)
+        EXPECT_NE(singles_now[i], singles[i].second) << i;
+    // Nothing else writes while the chain is evicted, so the rewrite
+    // lands in one open chunk: key order, side by side.
+    for (size_t i = 1; i < singles_now.size(); i++)
+        EXPECT_TRUE(adjacent(singles_now[i - 1], singles_now[i])) << i;
+    EXPECT_EQ(fx.counted("prism.svc.reorg_kept_values"), run.size());
+    EXPECT_EQ(fx.counted("prism.svc.reorged_values"), singles.size());
+    EXPECT_EQ(fx.counted("prism.svc.scan_reorgs"), 1u);
+    expectRecordsIntact(fx, all);
 }
 
 TEST(SvcTest, DisabledCacheIsInert)
